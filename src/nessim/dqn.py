@@ -4,7 +4,7 @@ gradients, adaptive-moment updates, FIFO replay, epsilon-greedy control."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -324,18 +324,33 @@ def save_checkpoint(net: Mlp, path) -> None:
 
 
 def load_checkpoint(path) -> Mlp:
+    """Restore a `save_checkpoint` file; a truncated, extended or malformed one
+    raises ValueError. The header is checked against the file length before
+    any array is allocated, so it cannot ask for more memory than the file holds."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError("not a checkpoint file")
-        version, n_sizes = struct.unpack("<II", f.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        sizes = list(struct.unpack(f"<{n_sizes}I", f.read(4 * n_sizes)))
-        net = Mlp(sizes)
-        for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            w = np.frombuffer(f.read(8 * n_in * n_out), dtype="<f8").reshape(n_in, n_out)
-            b = np.frombuffer(f.read(8 * n_out), dtype="<f8")
-            net.weights[i] = w.copy()
-            net.biases[i] = b.copy()
+        data = f.read()
+    head = len(CHECKPOINT_MAGIC) + 8
+    if len(data) < head or not data.startswith(CHECKPOINT_MAGIC):
+        raise ValueError("not a checkpoint file")
+    version, n_sizes = struct.unpack_from("<II", data, len(CHECKPOINT_MAGIC))
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    if not 2 <= n_sizes <= (len(data) - head) // 4:
+        raise ValueError(f"checkpoint layer count {n_sizes} does not fit its {len(data)} bytes")
+    sizes = list(struct.unpack_from(f"<{n_sizes}I", data, head))
+    if min(sizes) < 1:
+        raise ValueError(f"checkpoint layer sizes {sizes} must be >= 1")
+    layers = list(zip(sizes[:-1], sizes[1:]))
+    offset = head + 4 * n_sizes
+    expected = offset + 8 * sum(n_in * n_out + n_out for n_in, n_out in layers)
+    if len(data) != expected:
+        raise ValueError(f"checkpoint is {len(data)} bytes, its layer sizes need {expected}")
+    net = Mlp(sizes)
+    for i, (n_in, n_out) in enumerate(layers):
+        w = np.frombuffer(data, dtype="<f8", count=n_in * n_out, offset=offset)
+        offset += 8 * n_in * n_out
+        b = np.frombuffer(data, dtype="<f8", count=n_out, offset=offset)
+        offset += 8 * n_out
+        net.weights[i] = w.reshape(n_in, n_out).copy()
+        net.biases[i] = b.copy()
     return net

@@ -4,11 +4,12 @@ constraint-gated sum-rate reward."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .network import (
+    MU_HEIGHT_M,
     TILT_MAX_DEG,
     TILT_MIN_DEG,
     Assignment,
@@ -21,7 +22,7 @@ from .network import (
     check_constraints,
     objective_value,
 )
-from .radio import AntennaParams, ChannelParams, Position
+from .radio import AntennaParams, ChannelParams, Position, dbm_to_watts
 
 TILT_STEP_DEG = 1.0
 POWER_STEP_DB = 5.0
@@ -138,47 +139,51 @@ class NesEnv:
     def __init__(self, scn: Scenario, rng: np.random.Generator):
         self.scn = scn
         self.rng = rng
-        self._frozen_mus: list[Mu] | None = None
         self.state: EnvState | None = None
         self.geom: RadioGeometry | None = None
-        self.mus: list[Mu] = []
         self.t = 0
 
-    def _sample_mus(self) -> list[Mu]:
+    @property
+    def mus(self) -> list[Mu]:
+        """The current user drop as `Mu` objects, built on each read."""
+        g = self.geom
+        if g is None:
+            return []
+        columns = (g.mu_ids, g.mu_x, g.mu_y, g.mu_heights, g.rate_thresholds, g.rsrp_thresholds)
+        rows = zip(*(c.tolist() for c in columns))
+        return [Mu(u, Position(x, y), h, rt, rsrp) for u, x, y, h, rt, rsrp in rows]
+
+    def _sample_geometry(self) -> RadioGeometry:
         scn = self.scn
         rng = self.rng
-        mus = []
         anchors = rng.integers(0, len(scn.gbss), scn.mu_count)
         radii3 = np.sqrt(
             rng.uniform(scn.d_min**2, scn.d_max**2, scn.mu_count)
         )
         angles = rng.uniform(0.0, 2.0 * math.pi, scn.mu_count)
         thresholds = rng.uniform(scn.rate_min, scn.rate_max, scn.mu_count)
-        from .radio import dbm_to_watts
-
-        p_th = dbm_to_watts(scn.rsrp_threshold_dbm)
-        for u in range(scn.mu_count):
-            g = scn.gbss[anchors[u]]
-            dz = g.height - 1.5
-            r2d = math.sqrt(max(radii3[u] ** 2 - dz * dz, 0.0))
-            pos = Position(
-                g.position.x + r2d * math.cos(angles[u]),
-                g.position.y + r2d * math.sin(angles[u]),
-            )
-            mus.append(
-                Mu(u, pos, 1.5, rate_threshold=float(thresholds[u]), rsrp_threshold=p_th)
-            )
-        return mus
+        # Scalar math per user: numpy's vectorised square differs from `**`
+        # (libm pow) in a few draws per 10^4, and its cos and sin need not
+        # match libm's, so vectorising would move users.
+        sites = [
+            (g.position.x, g.position.y, (g.height - MU_HEIGHT_M) * (g.height - MU_HEIGHT_M))
+            for g in scn.gbss
+        ]
+        xs, ys = [], []
+        for k, r3, angle in zip(anchors.tolist(), radii3.tolist(), angles.tolist()):
+            x, y, dz2 = sites[k]
+            r2d = math.sqrt(max(r3**2 - dz2, 0.0))
+            xs.append(x + r2d * math.cos(angle))
+            ys.append(y + r2d * math.sin(angle))
+        return RadioGeometry(
+            scn.gbss, xs, ys, thresholds, dbm_to_watts(scn.rsrp_threshold_dbm),
+            scn.channel, scn.antenna,
+        )
 
     def reset(self) -> EnvState:
         scn = self.scn
-        if scn.resample_on_reset or self._frozen_mus is None:
-            self.mus = self._sample_mus()
-            if not scn.resample_on_reset:
-                self._frozen_mus = self.mus
-        else:
-            self.mus = self._frozen_mus
-        self.geom = RadioGeometry(scn.gbss, self.mus, scn.channel, scn.antenna)
+        if scn.resample_on_reset or self.geom is None:
+            self.geom = self._sample_geometry()
         cfg = scn.constraints
         mid_power = 0.5 * (cfg.p_min_dbm + cfg.p_max_dbm)
         rows = np.tile([7.0, mid_power], (scn.sector_count, 1))
@@ -188,15 +193,12 @@ class NesEnv:
 
     def _full_arrays(self, state: EnvState) -> tuple[np.ndarray, np.ndarray]:
         """Expand controllable rows into per-(gbs, sector) arrays."""
-        scn = self.scn
-        tilts = np.zeros((len(scn.gbss), 3))
-        powers = np.full((len(scn.gbss), 3), scn.constraints.p_min_dbm)
-        row = 0
-        for k, g in enumerate(scn.gbss):
-            if g.active:
-                tilts[k] = state.rows[row : row + 3, 0]
-                powers[k] = state.rows[row : row + 3, 1]
-                row += 3
+        n_gbs = len(self.scn.gbss)
+        active = self.geom.active
+        tilts = np.zeros((n_gbs, 3))
+        powers = np.full((n_gbs, 3), self.scn.constraints.p_min_dbm)
+        tilts[active] = state.rows[:, 0].reshape(-1, 3)
+        powers[active] = state.rows[:, 1].reshape(-1, 3)
         return tilts, powers
 
     def _apply(self, state: EnvState, a: EnvAction) -> EnvState:
@@ -212,12 +214,7 @@ class NesEnv:
         scn = self.scn
         tilts, powers = self._full_arrays(state)
         assignment = associate_cached(self.geom, tilts, powers, scn.constraints)
-        # Mirror the applied state onto the topology objects for the report.
-        for k, g in enumerate(scn.gbss):
-            for s in range(3):
-                g.sectors[s].tilt_deg = float(tilts[k, s])
-                g.sectors[s].power_dbm = float(powers[k, s])
-        report = check_constraints(assignment, scn.gbss, self.mus, scn.constraints)
+        report = check_constraints(assignment, self.geom, scn.constraints)
         objective = objective_value(assignment)
         served = assignment.served_count()
         reward = objective if served >= scn.constraints.pi_thresh else 0.0

@@ -6,14 +6,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import baselines, dqn
 from .env import EnvAction, NesEnv, Scenario
-from .metrics import EvalSummary, MetricsLog, MetricsRow
+from .metrics import EvalSummary, MetricsLog
 from .network import ConstraintConfig, Gbs, SectorState
 from .radio import AntennaParams, ChannelParams, Position, db_to_linear, dbm_to_watts
 

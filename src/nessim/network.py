@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .radio import (
-    EULER_GAMMA,
     AntennaParams,
     ChannelParams,
     Position,
+    approx_rate,
+    azimuth_gain_db,
+    combined_gain_db,
+    compute_angles,
+    db_to_linear,
     dbm_to_watts,
+    distance_3d,
+    elevation_gain_db,
+    received_power,
     wrap_deg,
 )
 
@@ -20,6 +27,8 @@ SECTOR_BORESIGHTS_DEG = (0.0, 120.0, -120.0)
 
 TILT_MIN_DEG = 0.0
 TILT_MAX_DEG = 14.0
+
+MU_HEIGHT_M = 1.5
 
 
 @dataclass
@@ -37,6 +46,8 @@ class Gbs:
     sectors: list[SectorState] = field(default_factory=list)
 
     def __post_init__(self):
+        if self.id < 0:
+            raise ValueError("GBS id must be >= 0")  # -1 marks an unattached MU
         if not self.sectors:
             self.sectors = [SectorState(7.0, 22.5) for _ in range(3)]
         if len(self.sectors) != 3:
@@ -47,7 +58,7 @@ class Gbs:
 class Mu:
     id: int
     position: Position
-    height: float = 1.5
+    height: float = MU_HEIGHT_M
     rate_threshold: float = 1.0                    # bits/s/Hz
     rsrp_threshold: float = dbm_to_watts(-100.0)   # watts
 
@@ -78,25 +89,56 @@ class ConstraintConfig:
             raise ValueError("d_min must be < d_max")
 
 
-@dataclass
+@dataclass(eq=False)
 class Assignment:
-    """Per-MU serving links, indicator bundle, and per-link rates."""
+    """Per-MU serving links, indicator gates and rates, one array entry per MU
+    in geometry order, for the applied per-(GBS, sector) tilts and powers.
 
-    serving: dict[int, tuple[int, int] | None]  # mu id -> (gbs id, sector) or None
-    vartheta: dict[int, bool]                   # RSRP gate
-    gamma_ind: dict[int, bool]                  # rate gate
-    pi_ind: dict[int, bool]                     # served = vartheta and gamma
-    rate: dict[int, float]                      # fading-averaged rate, bits/s/Hz
+    The dict views keyed by MU id (`serving`, `vartheta`, `gamma_ind`,
+    `pi_ind`, `rate`) are built on first read.
+    """
+
+    mu_ids: np.ndarray          # (U,)
+    serving_gbs: np.ndarray     # (U,) GBS id, -1 when unattached
+    serving_sector: np.ndarray  # (U,) sector index, -1 when unattached
+    vartheta_mask: np.ndarray   # (U,) RSRP gate
+    gamma_mask: np.ndarray      # (U,) rate gate
+    pi_mask: np.ndarray         # (U,) served = vartheta and gamma
+    rates: np.ndarray           # (U,) fading-averaged rate, bits/s/Hz; 0 when unattached
+    tilts_deg: np.ndarray       # (K, 3) applied tilts
+    powers_dbm: np.ndarray      # (K, 3) applied powers
 
     def served_count(self) -> int:
-        return sum(self.pi_ind.values())
+        return int(np.count_nonzero(self.pi_mask))
 
     def served_per_gbs(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for mu_id, link in self.serving.items():
-            if link is not None and self.pi_ind[mu_id]:
-                counts[link[0]] = counts.get(link[0], 0) + 1
-        return counts
+        gbs_ids = self.serving_gbs[self.pi_mask & (self.serving_gbs >= 0)]
+        ids, counts = np.unique(gbs_ids, return_counts=True)
+        return dict(zip(ids.tolist(), counts.tolist()))
+
+    def _by_mu(self, values: np.ndarray) -> dict:
+        return dict(zip(self.mu_ids.tolist(), values.tolist()))
+
+    @cached_property
+    def serving(self) -> dict[int, tuple[int, int] | None]:
+        links = zip(self.mu_ids.tolist(), self.serving_gbs.tolist(), self.serving_sector.tolist())
+        return {u: (k, s) if k >= 0 else None for u, k, s in links}
+
+    @cached_property
+    def vartheta(self) -> dict[int, bool]:
+        return self._by_mu(self.vartheta_mask)
+
+    @cached_property
+    def gamma_ind(self) -> dict[int, bool]:
+        return self._by_mu(self.gamma_mask)
+
+    @cached_property
+    def pi_ind(self) -> dict[int, bool]:
+        return self._by_mu(self.pi_mask)
+
+    @cached_property
+    def rate(self) -> dict[int, float]:
+        return self._by_mu(self.rates)
 
 
 @dataclass(frozen=True)
@@ -123,58 +165,93 @@ class ConstraintReport:
         )
 
 
+def _value_range(values: np.ndarray) -> tuple[float, float]:
+    """(min, max), or (inf, -inf) for no values so that every band holds."""
+    return float(values.min(initial=np.inf)), float(values.max(initial=-np.inf))
+
+
 class RadioGeometry:
     """Precomputed per-(MU, GBS, sector) geometry for fast re-association.
 
     Tilt/power sweeps only change the elevation term, so everything that
     depends on positions alone is cached as arrays: distances, elevation
-    angles, and azimuth offsets per sector.
+    angles, and azimuth gains per sector. So are the ranges that the
+    position-only constraints check: nearest-GBS distance and rate threshold.
+    MUs are given as arrays (one entry per MU); heights and thresholds may
+    be scalars shared by all of them, and ids default to 0..U-1.
     """
 
-    def __init__(self, gbss: list[Gbs], mus: list[Mu], ch: ChannelParams, ap: AntennaParams):
+    def __init__(
+        self,
+        gbss: list[Gbs],
+        mu_x,
+        mu_y,
+        rate_thresholds,
+        rsrp_thresholds,
+        ch: ChannelParams,
+        ap: AntennaParams,
+        mu_heights=MU_HEIGHT_M,
+        mu_ids=None,
+    ):
         if not gbss:
             raise ValueError("at least one GBS required")
-        self.gbss = gbss
-        self.mus = mus
         self.ch = ch
         self.ap = ap
+        ux = np.asarray(mu_x, dtype=float)
+        uy = np.asarray(mu_y, dtype=float)
         self.n_gbs = len(gbss)
-        self.n_mu = len(mus)
+        self.n_mu = len(ux)
+        self.mu_x, self.mu_y = ux, uy
+        self.mu_heights = np.broadcast_to(np.asarray(mu_heights, dtype=float), ux.shape)
+        self.mu_ids = np.arange(self.n_mu) if mu_ids is None else np.asarray(mu_ids, dtype=np.int64)
+        self.rate_thresholds = np.broadcast_to(np.asarray(rate_thresholds, dtype=float), ux.shape)
+        self.rsrp_thresholds = np.broadcast_to(np.asarray(rsrp_thresholds, dtype=float), ux.shape)
+        self.gbs_ids = np.array([g.id for g in gbss], dtype=np.int64)
+        self.active = np.array([g.active for g in gbss], dtype=bool)
 
         gx = np.array([g.position.x for g in gbss])
         gy = np.array([g.position.y for g in gbss])
         gh = np.array([g.height for g in gbss])
-        ux = np.array([m.position.x for m in mus])
-        uy = np.array([m.position.y for m in mus])
-        uh = np.array([m.height for m in mus])
-
         dx = ux[:, None] - gx[None, :]
         dy = uy[:, None] - gy[None, :]
-        dz = gh[None, :] - uh[:, None]
+        dz = gh[None, :] - self.mu_heights[:, None]
         d2d = np.hypot(dx, dy)
         self.d3d = np.sqrt(d2d**2 + dz**2)                      # (U, K)
         self.theta_elev = np.degrees(np.arctan2(dz, d2d))       # (U, K)
         bearing = np.degrees(np.arctan2(dy, dx))                # (U, K)
         psi = wrap_deg(bearing[:, :, None] - np.array(SECTOR_BORESIGHTS_DEG)[None, None, :])
-        az_att = np.minimum(12.0 * (psi / ap.psi_3db_deg) ** 2, ap.front_back_f_db)
-        self.az_gain_db = ap.g_max_dbi - az_att                 # (U, K, 3)
+        self.az_gain_db = azimuth_gain_db(psi, ap)              # (U, K, 3)
         self.pathloss = self.d3d ** (-ch.alpha)                 # (U, K)
-        self.active = np.array([g.active for g in gbss], dtype=bool)
-        self.rate_thresholds = np.array([m.rate_threshold for m in mus])
-        self.rsrp_thresholds = np.array([m.rsrp_threshold for m in mus])
+
+        # radio.distance_3d's arithmetic, not d3d's hypot, so the distance
+        # band check agrees with it bit for bit at the band edges; libm pow
+        # (float_power) squares dz as Python's ** does.
+        self.nearest_d3d = np.sqrt(np.float_power(dz, 2) + dx * dx + dy * dy).min(axis=1)
+        self.nearest_range = _value_range(self.nearest_d3d)
+        self.rate_threshold_range = _value_range(self.rate_thresholds)
+
+    @classmethod
+    def from_mus(cls, gbss: list[Gbs], mus: list[Mu], ch: ChannelParams, ap: AntennaParams):
+        return cls(
+            gbss,
+            [m.position.x for m in mus],
+            [m.position.y for m in mus],
+            [m.rate_threshold for m in mus],
+            [m.rsrp_threshold for m in mus],
+            ch,
+            ap,
+            mu_heights=[m.height for m in mus],
+            mu_ids=[m.id for m in mus],
+        )
 
     def mean_rx_power(self, tilts_deg: np.ndarray, powers_dbm: np.ndarray) -> np.ndarray:
         """Fading-free received power, shape (U, K, 3); zero for off GBSs."""
-        ap, ch = self.ap, self.ch
-        el_off = self.theta_elev[:, :, None] - tilts_deg[None, :, :]
-        el_att = np.minimum(12.0 * (el_off / ap.theta_3db_deg) ** 2, ap.elev_floor_db)
-        gain_db = self.az_gain_db + ap.elev_peak_dbi - el_att
-        p_tx = 10.0 ** (powers_dbm / 10.0) * 1e-3
+        el_gain_db = elevation_gain_db(self.theta_elev[:, :, None], tilts_deg[None, :, :], self.ap)
         rx = (
-            p_tx[None, :, :]
+            dbm_to_watts(powers_dbm)[None, :, :]
             * self.pathloss[:, :, None]
-            * 10.0 ** (gain_db / 10.0)
-            * ch.rx_gain
+            * db_to_linear(self.az_gain_db + el_gain_db)
+            * self.ch.rx_gain
         )
         rx[:, ~self.active, :] = 0.0
         return rx
@@ -188,71 +265,65 @@ def sector_arrays(gbss: list[Gbs]) -> tuple[np.ndarray, np.ndarray]:
 
 def rsrp(gbs: Gbs, sector: int, mu: Mu, ch: ChannelParams, ap: AntennaParams) -> float:
     """Fading-free received power from one sector toward one MU, watts."""
-    from . import radio
-
     sec = gbs.sectors[sector]
-    d3d = radio.distance_3d(gbs.position, gbs.height, mu.position, mu.height)
-    geom = radio.compute_angles(
+    d3d = distance_3d(gbs.position, gbs.height, mu.position, mu.height)
+    geom = compute_angles(
         gbs.position, gbs.height, mu.position, mu.height, SECTOR_BORESIGHTS_DEG[sector]
     )
-    gain = radio.combined_gain_db(geom, sec.tilt_deg, ap)
-    return radio.received_power(dbm_to_watts(sec.power_dbm), 1.0, d3d, gain, ch)
+    gain = combined_gain_db(geom, sec.tilt_deg, ap)
+    return received_power(dbm_to_watts(sec.power_dbm), 1.0, d3d, gain, ch)
 
 
 def associate_cached(geom: RadioGeometry, tilts_deg, powers_dbm, cfg: ConstraintConfig) -> Assignment:
     """Best-RSRP association with capacity eviction, over cached geometry."""
-    mus, gbss = geom.mus, geom.gbss
-    if geom.n_mu == 0 or not geom.active.any():
-        empty = {m.id: None for m in mus}
-        off = {m.id: False for m in mus}
-        return Assignment(empty, dict(off), dict(off), dict(off), {m.id: 0.0 for m in mus})
+    tilts = np.asarray(tilts_deg, float)
+    powers = np.asarray(powers_dbm, float)
+    n = geom.n_mu
+    if n == 0 or not geom.active.any():
+        off = np.zeros(n, dtype=bool)
+        return Assignment(
+            geom.mu_ids, np.full(n, -1), np.full(n, -1), off, off.copy(), off.copy(),
+            np.zeros(n), tilts, powers,
+        )
 
-    rx = geom.mean_rx_power(np.asarray(tilts_deg, float), np.asarray(powers_dbm, float))
-    best_sector = np.argmax(rx, axis=2)                       # (U, K)
-    best_rx = np.take_along_axis(rx, best_sector[:, :, None], axis=2)[:, :, 0]
+    rx = geom.mean_rx_power(tilts, powers)
+    best_rx = rx.max(axis=2)                                  # (U, K)
 
     # Tentative attach: argmax over (gbs, sector), lowest index wins on ties.
-    flat = rx.reshape(geom.n_mu, -1)
+    flat = rx.reshape(n, -1)
     cand = np.argmax(flat, axis=1)
     cand_gbs = cand // 3
     cand_sector = cand % 3
-    cand_rx = flat[np.arange(geom.n_mu), cand]
+    rows = np.arange(n)
+    cand_rx = flat[rows, cand]
 
-    attached = np.ones(geom.n_mu, dtype=bool)
-    mu_ids = np.array([m.id for m in mus])
+    attached = np.ones(n, dtype=bool)
     for k in range(geom.n_gbs):
-        if not geom.active[k]:
-            attached[cand_gbs == k] = False  # unreachable: off GBS rx is 0
-            continue
         members = np.flatnonzero(cand_gbs == k)
-        if len(members) > cfg.pi_k_max:
-            order = np.lexsort((mu_ids[members], -cand_rx[members]))
+        if not geom.active[k]:
+            attached[members] = False  # unreachable: off GBS rx is 0
+        elif len(members) > cfg.pi_k_max:
+            order = np.lexsort((geom.mu_ids[members], -cand_rx[members]))
             attached[members[order[cfg.pi_k_max:]]] = False
 
     # Interference: other active GBSs via their best sector toward the MU.
     total_best = best_rx.sum(axis=1)
-    interference = total_best - best_rx[np.arange(geom.n_mu), cand_gbs]
+    interference = total_best - best_rx[rows, cand_gbs]
     nu = geom.ch.phi_ric * interference + geom.ch.sigma2
-    d_serv = geom.d3d[np.arange(geom.n_mu), cand_gbs]
-    denom = nu if geom.ch.pathloss_mode == "single" else d_serv ** geom.ch.alpha * nu
-    rates = np.log2(1.0 + math.exp(-EULER_GAMMA) * cand_rx / denom)
+    rates = approx_rate(cand_rx, nu, geom.d3d[rows, cand_gbs], geom.ch)
 
     vartheta = attached & (cand_rx >= geom.rsrp_thresholds)
     gamma = attached & (rates >= geom.rate_thresholds)
-    pi = vartheta & gamma
-
-    serving: dict[int, tuple[int, int] | None] = {}
-    for i, m in enumerate(mus):
-        if attached[i]:
-            serving[m.id] = (gbss[cand_gbs[i]].id, int(cand_sector[i]))
-        else:
-            serving[m.id] = None
     return Assignment(
-        serving,
-        {m.id: bool(vartheta[i]) for i, m in enumerate(mus)},
-        {m.id: bool(gamma[i]) for i, m in enumerate(mus)},
-        {m.id: bool(pi[i]) for i, m in enumerate(mus)},
-        {m.id: (float(rates[i]) if attached[i] else 0.0) for i, m in enumerate(mus)},
+        geom.mu_ids,
+        np.where(attached, geom.gbs_ids[cand_gbs], -1),
+        np.where(attached, cand_sector, -1),
+        vartheta,
+        gamma,
+        vartheta & gamma,
+        np.where(attached, rates, 0.0),
+        tilts,
+        powers,
     )
 
 
@@ -263,52 +334,28 @@ def associate(
     ap: AntennaParams,
     cfg: ConstraintConfig,
 ) -> Assignment:
-    geom = RadioGeometry(gbss, mus, ch, ap)
+    geom = RadioGeometry.from_mus(gbss, mus, ch, ap)
     tilts, powers = sector_arrays(gbss)
     return associate_cached(geom, tilts, powers, cfg)
 
 
 def objective_value(a: Assignment) -> float:
-    return sum(a.rate[mu_id] for mu_id, served in a.pi_ind.items() if served)
+    # Python's sum adds the served rates one by one in MU order; np.sum adds
+    # pairwise, which changes the low bits of the reward.
+    return sum(a.rates[a.pi_mask].tolist())
 
 
-def check_constraints(
-    a: Assignment, gbss: list[Gbs], mus: list[Mu], cfg: ConstraintConfig
-) -> ConstraintReport:
-    served = a.served_count()
-    per_gbs = a.served_per_gbs()
-
-    rates_ok = True
-    thresholds = {m.id: m.rate_threshold for m in mus}
-    for mu_id, is_served in a.pi_ind.items():
-        if is_served and a.rate[mu_id] < thresholds[mu_id]:
-            rates_ok = False
-
-    band_ok = all(cfg.rate_min <= m.rate_threshold <= cfg.rate_max for m in mus)
-
-    power_ok = all(
-        cfg.p_min_dbm <= s.power_dbm <= cfg.p_max_dbm for g in gbss for s in g.sectors
-    )
-    tilt_ok = all(
-        TILT_MIN_DEG <= s.tilt_deg <= TILT_MAX_DEG for g in gbss for s in g.sectors
-    )
-
-    distance_ok = True
-    for m in mus:
-        from .radio import distance_3d
-
-        d_near = min(
-            distance_3d(g.position, g.height, m.position, m.height) for g in gbss
-        )
-        if not cfg.d_min <= d_near <= cfg.d_max:
-            distance_ok = False
-
+def check_constraints(a: Assignment, geom: RadioGeometry, cfg: ConstraintConfig) -> ConstraintReport:
+    """Constraints (c)-(i) for an assignment over `geom`'s MUs; power and tilt
+    are checked on the sector state the assignment was computed for."""
+    d_lo, d_hi = geom.nearest_range
+    r_lo, r_hi = geom.rate_threshold_range
     return ConstraintReport(
-        served_count_ok=served >= cfg.pi_thresh,
-        capacity_ok=all(c <= cfg.pi_k_max for c in per_gbs.values()),
-        rates_ok=rates_ok,
-        rate_band_ok=band_ok,
-        power_ok=power_ok,
-        distance_ok=distance_ok,
-        tilt_ok=tilt_ok,
+        served_count_ok=a.served_count() >= cfg.pi_thresh,
+        capacity_ok=all(c <= cfg.pi_k_max for c in a.served_per_gbs().values()),
+        rates_ok=not np.any(a.pi_mask & (a.rates < geom.rate_thresholds)),
+        rate_band_ok=cfg.rate_min <= r_lo and r_hi <= cfg.rate_max,
+        power_ok=bool(cfg.p_min_dbm <= a.powers_dbm.min() and a.powers_dbm.max() <= cfg.p_max_dbm),
+        distance_ok=cfg.d_min <= d_lo and d_hi <= cfg.d_max,
+        tilt_ok=bool(TILT_MIN_DEG <= a.tilts_deg.min() and a.tilts_deg.max() <= TILT_MAX_DEG),
     )

@@ -1,0 +1,62 @@
+"""The benchmark tracer (bench/tracer.py) still finds every span it names and
+its counters still move, so `bench/run.py --trace 1` keeps working when the
+package is refactored. The tracer file is only read; every attribute it
+replaces is put back afterwards."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nessim import harness
+from nessim.env import EnvAction, NesEnv
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def span_target(module, attr):
+    owner = importlib.import_module(f"nessim.{module}")
+    *path, leaf = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, leaf
+
+
+@pytest.fixture
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("nessim_bench_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    owners = [importlib.import_module(f"nessim.{m}") for _, m, _ in tracer.SPANS]
+    owners += [span_target(m, attr)[0] for _, m, attr in tracer.SPANS if "." in attr]
+    saved = {id(o): (o, dict(vars(o))) for o in owners}
+    try:
+        yield tracer
+    finally:
+        for owner, attrs in saved.values():
+            for key, value in attrs.items():
+                if vars(owner).get(key) is not value:
+                    setattr(owner, key, value)
+
+
+def test_every_span_resolves_and_counters_move(tracer_module):
+    originals = {name: getattr(*span_target(m, attr)) for name, m, attr in tracer_module.SPANS}
+    tracer = tracer_module.Tracer()
+    tracer_module.install(tracer)
+    for name, m, attr in tracer_module.SPANS:
+        assert getattr(*span_target(m, attr)) is not originals[name], name
+
+    cfg = harness.ExperimentConfig(k_gbs=1, off_ids=(), mu_count=5, horizon=3)
+    env = NesEnv(harness.generate_scenario(cfg, np.random.default_rng(0)), np.random.default_rng(0))
+    env.reset()
+    env.step(EnvAction(0))
+    for name in (
+        "env.reset", "env.step", "network.RadioGeometry", "network.mean_rx_power",
+        "network.associate_cached", "network.check_constraints", "network.objective_value",
+    ):
+        assert len(tracer.durations[name]) == 1, name
+    assert tracer.counters["steps"] == 1
+    assert tracer.counters["association_attempts"] == cfg.mu_count
+    assert tracer.counters["mean_rx_power_bytes"] > 0

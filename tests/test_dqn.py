@@ -1,5 +1,10 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nessim.dqn import (
     AdamState,
@@ -321,6 +326,73 @@ class TestCheckpoint:
         p.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
             load_checkpoint(p)
+
+
+def checkpoint_length(sizes):
+    return 12 + 4 * len(sizes) + 8 * sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+
+
+class TestCheckpointFuzz:
+    """Damaged checkpoint files raise ValueError, and never allocate beyond the file."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "valid.bin"
+        save_checkpoint(build_network(1, AgentConfig(hidden_sizes=(4,)), np.random.default_rng(0)), path)
+        return path.read_bytes()
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "fuzz.bin"
+
+    @settings(max_examples=100, deadline=None)
+    @given(cut=st.integers(0, 10**6))
+    def test_truncated(self, valid, path, cut):
+        path.write_bytes(valid[: cut % len(valid)])
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(extra=st.binary(min_size=1, max_size=64))
+    def test_extended(self, valid, path, extra):
+        path.write_bytes(valid + extra)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bit=st.integers(0, 10**6))
+    def test_header_bit_flip(self, valid, path, bit):
+        header_bits = 8 * (12 + 4 * 3)  # magic, version, count and three layer sizes
+        data = bytearray(valid)
+        data[(bit % header_bits) // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_sizes=st.one_of(st.integers(0, 5), st.integers(0, 2**32 - 1)),
+        sizes=st.lists(st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)), max_size=5),
+        payload_floats=st.integers(0, 64),
+    )
+    def test_random_header(self, path, n_sizes, sizes, payload_floats):
+        data = b"QNET" + struct.pack("<II", 1, n_sizes) + struct.pack(f"<{len(sizes)}I", *sizes)
+        data += bytes(8 * payload_floats)
+        path.write_bytes(data)
+        consistent = (
+            n_sizes == len(sizes) >= 2 and min(sizes) >= 1 and len(data) == checkpoint_length(sizes)
+        )
+        tracemalloc.start()
+        try:
+            if consistent:
+                assert load_checkpoint(path).sizes == sizes
+            else:
+                with pytest.raises(ValueError):
+                    load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024 + 4 * len(data)
 
 
 class TestAgentConfigValidation:

@@ -204,6 +204,26 @@ class TestStep:
         assert env.t == 0
 
 
+class TestSharedScenario:
+    def test_envs_on_one_scenario_do_not_interact(self):
+        scn = make_scenario()
+        sectors_before = [[(s.tilt_deg, s.power_dbm) for s in g.sectors] for g in scn.gbss]
+        actions = [int(a) for a in np.random.default_rng(5).integers(0, 729, 12)]
+
+        solo = NesEnv(scn, np.random.default_rng(3))
+        solo.reset()
+        solo_rewards = [solo.step(EnvAction(a)).reward for a in actions]
+
+        first, second = NesEnv(scn, np.random.default_rng(3)), NesEnv(scn, np.random.default_rng(4))
+        first.reset(), second.reset()
+        rewards = []
+        for a in actions:
+            rewards.append(first.step(EnvAction(a)).reward)
+            second.step(EnvAction(728 - a))
+        assert rewards == solo_rewards
+        assert [[(s.tilt_deg, s.power_dbm) for s in g.sectors] for g in scn.gbss] == sectors_before
+
+
 class TestFeatures:
     def test_corner_values(self):
         scn = make_scenario()

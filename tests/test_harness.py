@@ -247,6 +247,17 @@ class TestCli:
         assert "dqn:" in r.stdout
         assert (out / "eval.csv").exists()
 
+    def test_corrupt_checkpoint_exit_code(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        net = dqn.build_network(3, dqn.AgentConfig(), np.random.default_rng(0))
+        dqn.save_checkpoint(net, out / "checkpoint.bin")
+        data = (out / "checkpoint.bin").read_bytes()
+        (out / "checkpoint.bin").write_bytes(data[: len(data) // 2])
+        r = self.run_cli("eval", "--config", self.cfg_file(tmp_path), "--out", str(out))
+        assert r.returncode == 3, r.stderr
+        assert "checkpoint" in r.stderr
+
     def test_sweep_distance(self, tmp_path):
         out = tmp_path / "out"
         cfg = self.cfg_file(tmp_path, distance_grid=[100.0], iterations=40)

@@ -8,13 +8,16 @@ from nessim.network import (
     ConstraintConfig,
     Gbs,
     Mu,
+    RadioGeometry,
     SectorState,
     associate,
+    associate_cached,
     check_constraints,
     objective_value,
     rsrp,
+    sector_arrays,
 )
-from nessim.radio import AntennaParams, ChannelParams, Position, dbm_to_watts
+from nessim.radio import AntennaParams, ChannelParams, Position, dbm_to_watts, distance_3d
 
 AP = AntennaParams()
 CH = ChannelParams(alpha=3.0, sigma2=dbm_to_watts(-104.0), phi_ric=0.1, rx_gain=1.0)
@@ -33,6 +36,24 @@ def make_cfg(**kw):
 
 def make_mu(uid=0, x=100.0, y=0.0, rate_th=0.5, rsrp_th_dbm=-100.0):
     return Mu(uid, Position(x, y), 1.5, rate_th, dbm_to_watts(rsrp_th_dbm))
+
+
+def make_assignment(pi, rates, sectors=None):
+    """MUs 0..n-1 attached to GBS 0 (sector 0 unless given), with served flags `pi`."""
+    n = len(pi)
+    pi = np.array(pi, dtype=bool)
+    return Assignment(
+        np.arange(n), np.zeros(n, dtype=int), np.array(sectors or [0] * n, dtype=int),
+        np.ones(n, dtype=bool), pi.copy(), pi, np.array(rates, dtype=float),
+        np.zeros((1, 3)), np.full((1, 3), 30.0),
+    )
+
+
+def constraints_of(gbss, mus, assoc_cfg, check_cfg=None):
+    """Associate at the GBSs' sector settings, then check the constraints."""
+    geom = RadioGeometry.from_mus(gbss, mus, CH, AP)
+    a = associate_cached(geom, *sector_arrays(gbss), assoc_cfg)
+    return check_constraints(a, geom, check_cfg or assoc_cfg)
 
 
 class TestRsrp:
@@ -68,6 +89,26 @@ class TestRsrp:
         on_axis = rsrp(g, 0, m, CH, AP)
         off_axis = rsrp(g, 1, m, CH, AP)
         assert on_axis > off_axis
+
+
+class TestGeometry:
+    def test_nearest_distance_is_distance_3d(self):
+        # Bit-equal, so the distance band check agrees with radio.distance_3d at
+        # its edges. The MUs stand within 3 m of GBS 0, where the rounding of
+        # the squared height gap shows in a few distances per 10^4.
+        rng = np.random.default_rng(0)
+        gbss = [make_gbs(0), Gbs(1, Position(300.0, 40.0), 23.7, False)]
+        n = 40000
+        x = rng.uniform(-3.0, 3.0, n)
+        y = rng.uniform(-3.0, 3.0, n)
+        h = rng.uniform(1.0, 3.0, n)
+        geom = RadioGeometry(gbss, x, y, 1.0, 1e-13, CH, AP, mu_heights=h)
+        expected = [
+            min(distance_3d(g.position, g.height, Position(xu, yu), hu) for g in gbss)
+            for xu, yu, hu in zip(x.tolist(), y.tolist(), h.tolist())
+        ]
+        assert geom.nearest_d3d.tolist() == expected
+        assert geom.nearest_range == (min(expected), max(expected))
 
 
 class TestAssociate:
@@ -139,21 +180,15 @@ class TestAssociate:
 
 class TestObjective:
     def test_empty(self):
-        a = Assignment({}, {}, {}, {}, {})
+        a = make_assignment([], [])
         assert objective_value(a) == 0.0
 
     def test_singleton(self):
-        a = Assignment({0: (0, 0)}, {0: True}, {0: True}, {0: True}, {0: 2.5})
+        a = make_assignment([True], [2.5])
         assert objective_value(a) == pytest.approx(2.5)
 
     def test_additivity_excludes_unserved(self):
-        a = Assignment(
-            {0: (0, 0), 1: (0, 1), 2: (0, 2), 3: (0, 0)},
-            {u: True for u in range(4)},
-            {0: True, 1: True, 2: True, 3: False},
-            {0: True, 1: True, 2: True, 3: False},
-            {0: 1.0, 1: 2.0, 2: 0.5, 3: 9.0},
-        )
+        a = make_assignment([True, True, True, False], [1.0, 2.0, 0.5, 9.0], sectors=[0, 1, 2, 0])
         assert objective_value(a) == pytest.approx(3.5)
 
 
@@ -161,41 +196,40 @@ class TestConstraints:
     def test_fresh_scenario_mostly_ok(self):
         gbss = [make_gbs(power=40.0, tilt=5.0)]
         mus = [make_mu(u, x=50.0 + 30 * u, rate_th=0.5) for u in range(3)]
-        a = associate(gbss, mus, CH, AP, make_cfg(rate_min=0.0, rate_max=10.0))
-        rep = check_constraints(a, gbss, mus, make_cfg())
+        rep = constraints_of(gbss, mus, make_cfg(rate_min=0.0, rate_max=10.0), make_cfg())
         assert rep.capacity_ok and rep.rates_ok and rep.rate_band_ok
         assert rep.power_ok and rep.distance_ok and rep.tilt_ok
 
     def test_served_count_boundary(self):
         gbss = [make_gbs(power=40.0)]
         mus = [make_mu(0, x=80.0, rate_th=0.2)]
-        a = associate(gbss, mus, CH, AP, make_cfg())
-        assert check_constraints(a, gbss, mus, make_cfg(pi_thresh=1)).served_count_ok
-        assert not check_constraints(a, gbss, mus, make_cfg(pi_thresh=2)).served_count_ok
+        assert constraints_of(gbss, mus, make_cfg(), make_cfg(pi_thresh=1)).served_count_ok
+        assert not constraints_of(gbss, mus, make_cfg(), make_cfg(pi_thresh=2)).served_count_ok
 
     def test_tilt_boundary_inclusive(self):
         gbss = [make_gbs(tilt=14.0, power=40.0)]
         mus = [make_mu(0, x=80.0)]
-        a = associate(gbss, mus, CH, AP, make_cfg())
-        assert check_constraints(a, gbss, mus, make_cfg()).tilt_ok
+        assert constraints_of(gbss, mus, make_cfg()).tilt_ok
 
     def test_power_violation_detected(self):
         gbss = [make_gbs(power=50.0)]
         mus = [make_mu(0, x=80.0)]
-        a = associate(gbss, mus, CH, AP, make_cfg())
-        assert not check_constraints(a, gbss, mus, make_cfg()).power_ok
+        assert not constraints_of(gbss, mus, make_cfg()).power_ok
 
     def test_distance_violation_detected(self):
         gbss = [make_gbs(power=40.0)]
         mus = [make_mu(0, x=5.0)]
-        a = associate(gbss, mus, CH, AP, make_cfg(d_min=10.0))
-        assert not check_constraints(a, gbss, mus, make_cfg(d_min=10.0)).distance_ok
+        assert not constraints_of(gbss, mus, make_cfg(d_min=10.0)).distance_ok
 
 
 class TestValidation:
     def test_three_sectors_enforced(self):
         with pytest.raises(ValueError):
             Gbs(0, Position(0, 0), 10.0, True, [SectorState(0.0, 30.0)])
+
+    def test_negative_gbs_id_rejected(self):
+        with pytest.raises(ValueError):
+            Gbs(-1, Position(0, 0))  # -1 marks an unattached MU in an Assignment
 
     def test_cfg_bounds(self):
         with pytest.raises(ValueError):
