@@ -13,6 +13,7 @@ from .metrics import MetricsLog
 
 CHECKPOINT_MAGIC = b"QNET"
 CHECKPOINT_VERSION = 1
+AVG_WINDOW = 200  # iterations in training.csv's running average reward
 
 
 class DimensionMismatch(ValueError):
@@ -46,6 +47,12 @@ class AgentConfig:
         for e in (self.eps_start, self.eps_end):
             if not 0.0 <= e <= 1.0:
                 raise ValueError("epsilon must be in [0, 1]")
+        if self.target_sync_period < 1:
+            raise ValueError("target_sync_period must be >= 1")
+        if self.buffer_capacity < max(self.batch_size, self.warmup):
+            raise ValueError("buffer_capacity must be >= max(batch_size, warmup)")
+        if min(self.hidden_sizes, default=1) < 1:
+            raise ValueError("hidden sizes must be >= 1")
 
 
 def epsilon_at(cfg: AgentConfig, t: int) -> float:
@@ -57,33 +64,44 @@ def epsilon_at(cfg: AgentConfig, t: int) -> float:
 
 
 class Mlp:
-    """Fully connected net, rectifier hidden layers, identity output."""
+    """Fully connected net, rectifier hidden layers, identity output.
+
+    All parameters live in one contiguous float64 vector, `params`, in
+    checkpoint order: layer 0's weights, layer 0's biases, layer 1's weights,
+    and so on. `weights` and `biases` are tuples of views into it, and `grad`,
+    with `grad_weights` and `grad_biases`, has the same layout."""
 
     def __init__(self, sizes: list[int], rng: np.random.Generator | None = None):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = list(sizes)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        last = len(sizes) - 2
-        for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        layers = list(zip(sizes[:-1], sizes[1:]))
+        self.params = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in layers))
+        self.grad = np.zeros_like(self.params)
+        self.weights, self.biases = self._layer_views(self.params)
+        self.grad_weights, self.grad_biases = self._layer_views(self.grad)
+        if rng is None:
+            return
+        for i, (n_in, n_out) in enumerate(layers):
             scale = 1.0 / np.sqrt(n_in)
-            if i == last:
+            if i == len(layers) - 1:
                 # Near-zero head: actions never trained stay near Q = 0 instead
                 # of random init noise, so they cannot dominate the argmax.
                 scale *= 1e-3
-            if rng is None:
-                w = np.zeros((n_in, n_out))
-            else:
-                w = rng.uniform(-scale, scale, (n_in, n_out))
-            self.weights.append(w)
-            self.biases.append(np.zeros(n_out))
+            self.weights[i][...] = rng.uniform(-scale, scale, (n_in, n_out))
+
+    def _layer_views(self, vec: np.ndarray) -> tuple[tuple, tuple]:
+        weights, biases, offset = [], [], 0
+        for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]):
+            weights.append(vec[offset:offset + n_in * n_out].reshape(n_in, n_out))
+            offset += n_in * n_out
+            biases.append(vec[offset:offset + n_out])
+            offset += n_out
+        return tuple(weights), tuple(biases)
 
     def forward_batch(self, x: np.ndarray, keep_cache: bool = False):
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
-            raise DimensionMismatch(
-                f"expected (*, {self.sizes[0]}) features, got {x.shape}"
-            )
+            raise DimensionMismatch(f"expected (*, {self.sizes[0]}) features, got {x.shape}")
         activations = [x]
         a = x
         last = len(self.weights) - 1
@@ -91,21 +109,28 @@ class Mlp:
             z = a @ w + b
             a = z if i == last else np.maximum(z, 0.0)
             activations.append(a)
-        if keep_cache:
-            return a, activations
-        return a
+        return (a, activations) if keep_cache else a
+
+    def backward(self, activations: list[np.ndarray], d_out: np.ndarray) -> np.ndarray:
+        """Write d(loss)/d(params) into `grad` and return it, given the
+        `forward_batch(..., keep_cache=True)` activations and d(loss)/d(output)."""
+        delta = d_out
+        for i in range(len(self.weights) - 1, -1, -1):
+            np.matmul(activations[i].T, delta, out=self.grad_weights[i])
+            np.sum(delta, axis=0, out=self.grad_biases[i])
+            if i > 0:
+                delta = (delta @ self.weights[i].T) * (activations[i] > 0.0)
+        return self.grad
 
     def copy(self) -> "Mlp":
         clone = Mlp(self.sizes)
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
+        clone.params[:] = self.params
         return clone
 
     def copy_from(self, other: "Mlp") -> None:
         if self.sizes != other.sizes:
             raise DimensionMismatch("architectures differ")
-        self.weights = [w.copy() for w in other.weights]
-        self.biases = [b.copy() for b in other.biases]
+        self.params[:] = other.params
 
 
 def forward(net: Mlp, features: np.ndarray) -> np.ndarray:
@@ -155,64 +180,39 @@ class ReplayBuffer:
     def sample_indices(self, batch: int, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, self.size, batch)
 
-    def ordered(self) -> list[Experience]:
-        """Stored experiences, oldest first."""
-        start = (self.idx - self.size) % self.capacity
-        order = [(start + i) % self.capacity for i in range(self.size)]
-        return [
-            Experience(
-                self.states[i].copy(),
-                int(self.actions[i]),
-                float(self.rewards[i]),
-                self.next_states[i].copy(),
-                bool(self.dones[i]),
-            )
-            for i in order
-        ]
 
-
-def td_targets(batch: list[Experience], target_net: Mlp, zeta: float) -> np.ndarray:
-    if not batch:
-        raise ValueError("empty batch")
-    next_states = np.stack([e.next_state for e in batch])
+def td_targets(
+    target_net: Mlp, rewards: np.ndarray, next_states: np.ndarray, dones: np.ndarray, zeta: float
+) -> np.ndarray:
     q_next = target_net.forward_batch(next_states).max(axis=1)
-    rewards = np.array([e.reward for e in batch])
-    cont = np.array([not e.done for e in batch], dtype=float)
-    return rewards + zeta * cont * q_next
+    return rewards + zeta * (~dones) * q_next
 
 
 class AdamState:
     def __init__(self, net: Mlp, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in net.weights + net.biases]
-        self.v = [np.zeros_like(p) for p in net.weights + net.biases]
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
 
-    def update(self, net: Mlp, grads: list[np.ndarray], lr: float) -> None:
+    def update(self, net: Mlp, grad: np.ndarray, lr: float) -> None:
+        """One step over the whole flat parameter vector; `grad` has its layout."""
         self.t += 1
-        params = net.weights + net.biases
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        net.params -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
 
 
 def backprop(net: Mlp, x: np.ndarray, d_out: np.ndarray) -> list[np.ndarray]:
-    """Gradients of a scalar loss wrt weights then biases, given d(loss)/d(output)."""
+    """Gradients of a scalar loss wrt weights then biases, given d(loss)/d(output).
+    They are views into `net.grad`, so the next backward pass overwrites them."""
     _, acts = net.forward_batch(x, keep_cache=True)
-    grads_w = [np.zeros_like(w) for w in net.weights]
-    grads_b = [np.zeros_like(b) for b in net.biases]
-    delta = d_out
-    for i in range(len(net.weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ net.weights[i].T) * (acts[i] > 0.0)
-    return grads_w + grads_b
+    net.backward(acts, d_out)
+    return [*net.grad_weights, *net.grad_biases]
 
 
 def train_step(
@@ -228,32 +228,19 @@ def train_step(
             f"buffer has {buffer.size} < required {max(cfg.batch_size, cfg.warmup)}"
         )
     idx = buffer.sample_indices(cfg.batch_size, rng)
-    states = buffer.states[idx]
+    targets = td_targets(
+        target_net, buffer.rewards[idx], buffer.next_states[idx], buffer.dones[idx], cfg.zeta
+    )
+    q, acts = net.forward_batch(buffer.states[idx], keep_cache=True)
+    rows = np.arange(len(idx))
     actions = buffer.actions[idx]
-    rewards = buffer.rewards[idx]
-    next_states = buffer.next_states[idx]
-    dones = buffer.dones[idx]
-
-    q_next = target_net.forward_batch(next_states).max(axis=1)
-    targets = rewards + cfg.zeta * (~dones) * q_next
-
-    q, acts = net.forward_batch(states, keep_cache=True)
-    taken = q[np.arange(len(idx)), actions]
-    err = taken - targets
+    err = q[rows, actions] - targets
     loss = float(np.mean(err**2))
 
     # Gradient flows only through the taken-action output entries.
     d_out = np.zeros_like(q)
-    d_out[np.arange(len(idx)), actions] = 2.0 * err / len(idx)
-    delta = d_out
-    grads_w = [np.zeros_like(w) for w in net.weights]
-    grads_b = [np.zeros_like(b) for b in net.biases]
-    for i in range(len(net.weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ net.weights[i].T) * (acts[i] > 0.0)
-    adam.update(net, grads_w + grads_b, cfg.learning_rate)
+    d_out[rows, actions] = 2.0 * err / len(idx)
+    adam.update(net, net.backward(acts, d_out), cfg.learning_rate)
     return loss
 
 
@@ -267,23 +254,18 @@ def build_network(scn_sector_count: int, cfg: AgentConfig, rng: np.random.Genera
 
 
 def train(
-    env: NesEnv,
-    cfg: AgentConfig,
-    total_iterations: int,
-    rng: np.random.Generator,
-    avg_window: int = 200,
+    env: NesEnv, cfg: AgentConfig, total_iterations: int, rng: np.random.Generator
 ) -> tuple[Mlp, MetricsLog]:
     scn = env.scn
     net = build_network(scn.sector_count, cfg, rng)
     target = net.copy()
     adam = AdamState(net)
     buffer = ReplayBuffer(cfg.buffer_capacity, 2 * scn.sector_count)
-    log = MetricsLog(avg_window=avg_window)
+    log = MetricsLog()
 
     state = env.reset()
     features = encode_features(state, scn)
     window_sum = 0.0
-    window: list[float] = []
     for t in range(total_iterations):
         eps = epsilon_at(cfg, t)
         q = forward(net, features)
@@ -298,11 +280,11 @@ def train(
         if (t + 1) % cfg.target_sync_period == 0:
             sync_target(net, target)
 
-        window.append(result.reward)
         window_sum += result.reward
-        if len(window) > avg_window:
-            window_sum -= window.pop(0)
-        log.add_row(t, result.reward, window_sum / len(window), loss, eps, result.served_count)
+        if t >= AVG_WINDOW:
+            window_sum -= log.rows[t - AVG_WINDOW].reward
+        avg = window_sum / min(t + 1, AVG_WINDOW)
+        log.add_row(t, result.reward, avg, loss, eps, result.served_count)
 
         if result.done:
             state = env.reset()
@@ -318,9 +300,7 @@ def save_checkpoint(net: Mlp, path) -> None:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(net.sizes)))
         f.write(struct.pack(f"<{len(net.sizes)}I", *net.sizes))
-        for w, b in zip(net.weights, net.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        f.write(net.params.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> Mlp:
@@ -340,17 +320,10 @@ def load_checkpoint(path) -> Mlp:
     sizes = list(struct.unpack_from(f"<{n_sizes}I", data, head))
     if min(sizes) < 1:
         raise ValueError(f"checkpoint layer sizes {sizes} must be >= 1")
-    layers = list(zip(sizes[:-1], sizes[1:]))
     offset = head + 4 * n_sizes
-    expected = offset + 8 * sum(n_in * n_out + n_out for n_in, n_out in layers)
+    expected = offset + 8 * sum(n_in * n_out + n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
     if len(data) != expected:
         raise ValueError(f"checkpoint is {len(data)} bytes, its layer sizes need {expected}")
     net = Mlp(sizes)
-    for i, (n_in, n_out) in enumerate(layers):
-        w = np.frombuffer(data, dtype="<f8", count=n_in * n_out, offset=offset)
-        offset += 8 * n_in * n_out
-        b = np.frombuffer(data, dtype="<f8", count=n_out, offset=offset)
-        offset += 8 * n_out
-        net.weights[i] = w.reshape(n_in, n_out).copy()
-        net.biases[i] = b.copy()
+    net.params[:] = np.frombuffer(data, dtype="<f8", offset=offset)
     return net

@@ -133,9 +133,11 @@ def load_config(path: str | None, **overrides) -> ExperimentConfig:
         if key in values:
             values[key] = tuple(values[key])
     try:
-        return ExperimentConfig(**values)
+        cfg = ExperimentConfig(**values)
+        cfg.agent()  # validates the agent fields, so their errors are config errors too
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def _lattice_positions(k: int, spacing: float) -> list[Position]:

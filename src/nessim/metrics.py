@@ -25,9 +25,7 @@ class EvalSummary:
 
 @dataclass
 class MetricsLog:
-    avg_window: int = 200
     rows: list[MetricsRow] = field(default_factory=list)
-    summaries: list[EvalSummary] = field(default_factory=list)
 
     def add_row(self, iteration, reward, avg_reward, loss, epsilon, served) -> None:
         self.rows.append(MetricsRow(iteration, reward, avg_reward, loss, epsilon, served))

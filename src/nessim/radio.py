@@ -20,16 +20,8 @@ def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
-def linear_to_db(lin):
-    return 10.0 * np.log10(lin)
-
-
 def dbm_to_watts(dbm):
     return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0) * 1e-3
-
-
-def watts_to_dbm(w):
-    return 10.0 * np.log10(np.asarray(w, dtype=float) / 1e-3)
 
 
 @dataclass(frozen=True)

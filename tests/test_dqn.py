@@ -56,7 +56,7 @@ class TestForward:
 
     def test_linear_identity_row(self):
         net = Mlp([2, 2])
-        net.weights[0] = np.eye(2)
+        net.weights[0][...] = np.eye(2)
         f = forward(net, np.array([3.5, 0.0]))
         assert f[0] == pytest.approx(3.5)
         assert f[1] == pytest.approx(0.0)
@@ -101,21 +101,28 @@ class TestSelectAction:
 class TestTdTargets:
     def test_terminal(self):
         net = Mlp([2, 3])
-        batch = [Experience(np.zeros(2), 0, 2.0, np.zeros(2), True)]
-        assert td_targets(batch, net, 0.9)[0] == pytest.approx(2.0)
+        targets = td_targets(net, np.array([2.0]), np.zeros((1, 2)), np.array([True]), 0.9)
+        assert targets[0] == pytest.approx(2.0)
 
     def test_myopic(self):
         rng = np.random.default_rng(0)
         net = Mlp([2, 3], rng)
-        batch = [Experience(np.zeros(2), 0, 1.5, rng.standard_normal(2), False)]
+        next_states = rng.standard_normal((1, 2))
         # zeta must be in (0, 1]; a vanishing discount approaches the reward.
-        assert td_targets(batch, net, 1e-12)[0] == pytest.approx(1.5, abs=1e-6)
+        targets = td_targets(net, np.array([1.5]), next_states, np.array([False]), 1e-12)
+        assert targets[0] == pytest.approx(1.5, abs=1e-6)
 
     def test_bootstrap(self):
         net = Mlp([2, 2])
-        net.biases[0] = np.array([2.0, 0.5])
-        batch = [Experience(np.zeros(2), 1, 1.0, np.zeros(2), False)]
-        assert td_targets(batch, net, 0.9)[0] == pytest.approx(1.0 + 0.9 * 2.0)
+        net.biases[0][...] = [2.0, 0.5]
+        targets = td_targets(net, np.array([1.0]), np.zeros((1, 2)), np.array([False]), 0.9)
+        assert targets[0] == pytest.approx(1.0 + 0.9 * 2.0)
+
+
+def fifo_rewards(buf):
+    """Stored rewards read from the ring arrays, oldest first."""
+    start = buf.idx - buf.size
+    return [float(buf.rewards[(start + i) % buf.capacity]) for i in range(buf.size)]
 
 
 class TestReplayBuffer:
@@ -124,14 +131,14 @@ class TestReplayBuffer:
         for i in range(8):
             buf.push(Experience(np.array([float(i)]), 0, float(i), np.array([0.0]), False))
         assert buf.size == 5
-        stored = [e.reward for e in buf.ordered()]
-        assert stored == [3.0, 4.0, 5.0, 6.0, 7.0]
+        assert fifo_rewards(buf) == [3.0, 4.0, 5.0, 6.0, 7.0]
+        assert buf.states[:, 0].tolist() == [5.0, 6.0, 7.0, 3.0, 4.0]
 
     def test_partial_fill_order(self):
         buf = ReplayBuffer(10, 1)
         for i in range(3):
             buf.push(Experience(np.array([0.0]), 0, float(i), np.array([0.0]), False))
-        assert [e.reward for e in buf.ordered()] == [0.0, 1.0, 2.0]
+        assert fifo_rewards(buf) == [0.0, 1.0, 2.0]
 
 
 class TestEpsilonSchedule:
@@ -234,6 +241,138 @@ class TestTrainStep:
             losses.append(train_step(net, target, buf, cfg, rng, adam))
         assert losses[-1] < 1e-6
         assert losses[-1] < losses[0]
+
+
+class ListNet:
+    """The per-array layout that preceded the flat `Mlp.params`: lists of
+    weights and biases, kept with its backward loop and Adam as the reference
+    that the flat-vector code must match bit for bit."""
+
+    def __init__(self, net):
+        self.weights = [w.copy() for w in net.weights]
+        self.biases = [b.copy() for b in net.biases]
+
+    def forward_batch(self, x, keep_cache=False):
+        activations = [x]
+        a = x
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = a @ w + b
+            a = z if i == last else np.maximum(z, 0.0)
+            activations.append(a)
+        return (a, activations) if keep_cache else a
+
+
+class ListAdam:
+    def __init__(self, net, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in net.weights + net.biases]
+        self.v = [np.zeros_like(p) for p in net.weights + net.biases]
+
+    def update(self, net, grads, lr):
+        self.t += 1
+        params = net.weights + net.biases
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def list_train_step(net, target_net, buffer, cfg, rng, adam):
+    idx = buffer.sample_indices(cfg.batch_size, rng)
+    states = buffer.states[idx]
+    actions = buffer.actions[idx]
+    rewards = buffer.rewards[idx]
+    next_states = buffer.next_states[idx]
+    dones = buffer.dones[idx]
+
+    q_next = target_net.forward_batch(next_states).max(axis=1)
+    targets = rewards + cfg.zeta * (~dones) * q_next
+
+    q, acts = net.forward_batch(states, keep_cache=True)
+    taken = q[np.arange(len(idx)), actions]
+    err = taken - targets
+    loss = float(np.mean(err**2))
+
+    d_out = np.zeros_like(q)
+    d_out[np.arange(len(idx)), actions] = 2.0 * err / len(idx)
+    delta = d_out
+    grads_w = [np.zeros_like(w) for w in net.weights]
+    grads_b = [np.zeros_like(b) for b in net.biases]
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads_w[i] = acts[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (acts[i] > 0.0)
+    adam.update(net, grads_w + grads_b, cfg.learning_rate)
+    return loss
+
+
+def checkpoint_order(weights_then_biases):
+    """Flatten a weights-then-biases list into the layout of `Mlp.params`."""
+    n = len(weights_then_biases) // 2
+    pairs = zip(weights_then_biases[:n], weights_then_biases[n:])
+    return np.concatenate([a.ravel() for w, b in pairs for a in (w, b)])
+
+
+class TestFlatParams:
+    def test_train_steps_match_list_reference_bit_exactly(self):
+        rng = np.random.default_rng(11)
+        net = Mlp([4, 16, 8, 9], rng)
+        target = net.copy()
+        buf = ReplayBuffer(300, 4)
+        for i in range(200):
+            buf.push(Experience(rng.standard_normal(4), int(rng.integers(9)), float(rng.uniform()),
+                                rng.standard_normal(4), i % 7 == 6))
+        cfg = AgentConfig(batch_size=24, warmup=32, learning_rate=0.01)
+        ref, ref_target = ListNet(net), ListNet(target)
+        adam, ref_adam = AdamState(net), ListAdam(ref)
+        rng_flat, rng_ref = np.random.default_rng(12), np.random.default_rng(12)
+        for step in range(50):
+            if step == 25:
+                sync_target(net, target)
+                ref_target = ListNet(ref)
+            loss = train_step(net, target, buf, cfg, rng_flat, adam)
+            ref_loss = list_train_step(ref, ref_target, buf, cfg, rng_ref, ref_adam)
+            assert repr(loss) == repr(ref_loss), step
+            assert net.params.tobytes() == checkpoint_order(ref.weights + ref.biases).tobytes()
+            assert adam.m.tobytes() == checkpoint_order(ref_adam.m).tobytes()
+            assert adam.v.tobytes() == checkpoint_order(ref_adam.v).tobytes()
+        ref_target_params = checkpoint_order(ref_target.weights + ref_target.biases)
+        assert target.params.tobytes() == ref_target_params.tobytes()
+
+    def assert_views_of_params(self, net):
+        arrays = net.weights + net.biases
+        for a in arrays:
+            assert np.shares_memory(net.params, a)
+        assert np.array_equal(net.params, checkpoint_order(list(arrays)))
+
+    def test_views_survive_copy_sync_load_and_adam(self, tmp_path):
+        net = Mlp([3, 5, 4], np.random.default_rng(13))
+        self.assert_views_of_params(net)
+        self.assert_views_of_params(net.copy())
+        target = Mlp([3, 5, 4])
+        sync_target(net, target)
+        self.assert_views_of_params(target)
+        assert np.array_equal(target.params, net.params)
+        save_checkpoint(net, tmp_path / "net.bin")
+        self.assert_views_of_params(load_checkpoint(tmp_path / "net.bin"))
+        before = net.params.copy()
+        AdamState(net).update(net, np.ones_like(net.params), 0.1)
+        self.assert_views_of_params(net)
+        assert not np.array_equal(net.params, before)
+
+    def test_layers_cannot_be_rebound(self):
+        net = Mlp([2, 2])
+        with pytest.raises(TypeError):
+            net.weights[0] = np.eye(2)
+        with pytest.raises(TypeError):
+            net.biases[0] = np.zeros(2)
 
 
 class TestSyncTarget:

@@ -228,9 +228,18 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"k_gbs": 2, "off_ids": [0, 1]}))
-        r = self.run_cli("train", "--config", str(bad))
-        assert r.returncode == 2
+        for values in (
+            {"k_gbs": 2, "off_ids": [0, 1]},
+            {"learning_rate": 0},
+            {"target_sync_period": 0},
+            {"buffer_capacity": 0},
+            {"buffer_capacity": 499, "warmup": 500},
+            {"hidden_sizes": [0]},
+        ):
+            bad.write_text(json.dumps(values))
+            r = self.run_cli("train", "--config", str(bad), "--out", str(tmp_path / "out"))
+            assert r.returncode == 2, (values, r.stderr)
+            assert r.stderr.startswith("config error"), (values, r.stderr)
 
     def test_unknown_field_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
