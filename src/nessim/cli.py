@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from . import dqn, harness
-from .env import NesEnv
+from .env import EnvAction, NesEnv, encode_features
 from .harness import ConfigError, SweepSpec
 
 
@@ -101,8 +101,6 @@ def cmd_oracle_check(cfg: harness.ExperimentConfig) -> int:
     net, _ = dqn.train(train_env, cfg.agent(), cfg.iterations, np.random.default_rng(cfg.seed))
     env.reset()
     best_action, best_reward = harness.brute_force_best(env)
-    from .env import EnvAction, encode_features
-
     greedy = int(np.argmax(dqn.forward(net, encode_features(env.state, scn))))
     greedy_reward = env.evaluate_action(EnvAction(greedy))
     print(f"exhaustive optimum: action {best_action}, reward {best_reward:.6g}")

@@ -16,18 +16,17 @@ from .network import (
     ConstraintConfig,
     ConstraintReport,
     Gbs,
-    Mu,
     RadioGeometry,
     associate_cached,
     check_constraints,
     objective_value,
 )
-from .radio import AntennaParams, ChannelParams, Position, dbm_to_watts
+from .radio import AntennaParams, ChannelParams, dbm_to_watts
 
 TILT_STEP_DEG = 1.0
 POWER_STEP_DB = 5.0
 ACTIONS_PER_SECTOR = 9
-DEFAULT_SECTOR_LIMIT = 6
+SECTOR_LIMIT = 6  # controllable sectors, so at most 9**6 joint actions
 
 
 class InvalidScenario(ValueError):
@@ -38,25 +37,19 @@ class InvalidScenario(ValueError):
 class Scenario:
     gbss: list[Gbs]
     mu_count: int
-    d_min: float
-    d_max: float
-    rate_min: float
-    rate_max: float
     constraints: ConstraintConfig
     channel: ChannelParams
     antenna: AntennaParams
     horizon: int = 100
-    seed: int = 0
     rsrp_threshold_dbm: float = -100.0
     resample_on_reset: bool = True
-    sector_limit: int = DEFAULT_SECTOR_LIMIT
 
     def __post_init__(self):
         if not any(g.active for g in self.gbss):
             raise InvalidScenario("no active GBS")
-        if self.sector_count > self.sector_limit:
+        if self.sector_count > SECTOR_LIMIT:
             raise InvalidScenario(
-                f"{self.sector_count} controllable sectors exceed limit {self.sector_limit}"
+                f"{self.sector_count} controllable sectors exceed limit {SECTOR_LIMIT}"
             )
 
     @property
@@ -112,14 +105,6 @@ def decode_action(a: EnvAction, s_count: int) -> list[tuple[float, float]]:
     return deltas
 
 
-def encode_action(deltas: list[tuple[float, float]]) -> EnvAction:
-    idx = 0
-    for dt, dp in reversed(deltas):
-        digit = (round(dt / TILT_STEP_DEG) + 1) * 3 + (round(dp / POWER_STEP_DB) + 1)
-        idx = idx * ACTIONS_PER_SECTOR + digit
-    return EnvAction(idx)
-
-
 def encode_features(state: EnvState, scn: Scenario) -> np.ndarray:
     """Row-major flattening to [0, 1]: tilt/14 and (p - Pmin)/(Pmax - Pmin)."""
     cfg = scn.constraints
@@ -143,25 +128,16 @@ class NesEnv:
         self.geom: RadioGeometry | None = None
         self.t = 0
 
-    @property
-    def mus(self) -> list[Mu]:
-        """The current user drop as `Mu` objects, built on each read."""
-        g = self.geom
-        if g is None:
-            return []
-        columns = (g.mu_ids, g.mu_x, g.mu_y, g.mu_heights, g.rate_thresholds, g.rsrp_thresholds)
-        rows = zip(*(c.tolist() for c in columns))
-        return [Mu(u, Position(x, y), h, rt, rsrp) for u, x, y, h, rt, rsrp in rows]
-
     def _sample_geometry(self) -> RadioGeometry:
         scn = self.scn
+        cfg = scn.constraints
         rng = self.rng
         anchors = rng.integers(0, len(scn.gbss), scn.mu_count)
         radii3 = np.sqrt(
-            rng.uniform(scn.d_min**2, scn.d_max**2, scn.mu_count)
+            rng.uniform(cfg.d_min**2, cfg.d_max**2, scn.mu_count)
         )
         angles = rng.uniform(0.0, 2.0 * math.pi, scn.mu_count)
-        thresholds = rng.uniform(scn.rate_min, scn.rate_max, scn.mu_count)
+        thresholds = rng.uniform(cfg.rate_min, cfg.rate_max, scn.mu_count)
         # Scalar math per user: numpy's vectorised square differs from `**`
         # (libm pow) in a few draws per 10^4, and its cos and sin need not
         # match libm's, so vectorising would move users.

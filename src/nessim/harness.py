@@ -11,10 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, dqn
-from .env import EnvAction, NesEnv, Scenario
+from .env import EnvAction, NesEnv, Scenario, action_space_size, encode_features
 from .metrics import EvalSummary, MetricsLog
-from .network import ConstraintConfig, Gbs, SectorState
+from .network import ConstraintConfig, Gbs
 from .radio import AntennaParams, ChannelParams, Position, db_to_linear, dbm_to_watts
+
+
+DISTANCE_BAND_FLOOR_M = 20.0  # lower edge of every distance sweep band
 
 
 class ConfigError(ValueError):
@@ -43,7 +46,6 @@ class ExperimentConfig:
     p_max_dbm: float = 45.0
     horizon: int = 100
     resample_on_reset: bool = True
-    sector_limit: int = 6
     # Channel
     alpha: float = 3.0
     sigma2_dbm: float = -104.0
@@ -129,12 +131,17 @@ def load_config(path: str | None, **overrides) -> ExperimentConfig:
     for key in values:
         if key not in known:
             raise ConfigError(f"unknown config field: {key}")
-    for key in ("off_ids", "hidden_sizes", "mu_grid", "distance_grid"):
-        if key in values:
-            values[key] = tuple(values[key])
     try:
+        for key in ("off_ids", "hidden_sizes", "mu_grid", "distance_grid"):
+            if key in values:
+                values[key] = tuple(values[key])
         cfg = ExperimentConfig(**values)
         cfg.agent()  # validates the agent fields, so their errors are config errors too
+        # The sweep grids too, so that a bad grid point fails before any point trains.
+        if any(v < 0 for v in cfg.mu_grid):
+            raise ValueError("mu_grid: MU counts must be >= 0")
+        if any(v <= DISTANCE_BAND_FLOOR_M for v in cfg.distance_grid):
+            raise ValueError(f"distance_grid: values must be > {DISTANCE_BAND_FLOOR_M:g} m")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -161,12 +168,8 @@ def generate_scenario(cfg: ExperimentConfig, rng: np.random.Generator) -> Scenar
         raise ConfigError("off_ids: no active GBS remains")
     if cfg.mu_count < 0:
         raise ConfigError("mu_count: must be >= 0")
-    if cfg.d_min >= cfg.d_max:
-        raise ConfigError("d_min/d_max: need d_min < d_max")
     if cfg.rate_min > cfg.rate_max:
         raise ConfigError("rate_min/rate_max: need rate_min <= rate_max")
-    if cfg.p_min_dbm >= cfg.p_max_dbm:
-        raise ConfigError("p_min_dbm/p_max_dbm: need p_min < p_max")
 
     pi_thresh = cfg.pi_thresh
     if pi_thresh is None:
@@ -175,43 +178,30 @@ def generate_scenario(cfg: ExperimentConfig, rng: np.random.Generator) -> Scenar
     if pi_k_max is None:
         pi_k_max = 2 * math.ceil(max(cfg.mu_count, 1) / active_count)
 
-    constraints = ConstraintConfig(
-        pi_thresh=pi_thresh,
-        pi_k_max=pi_k_max,
-        p_min_dbm=cfg.p_min_dbm,
-        p_max_dbm=cfg.p_max_dbm,
-        d_min=cfg.d_min,
-        d_max=cfg.d_max,
-        rate_min=cfg.rate_min,
-        rate_max=cfg.rate_max,
-    )
-    mid = 0.5 * (cfg.p_min_dbm + cfg.p_max_dbm)
     gbss = [
-        Gbs(
-            id=i,
-            position=pos,
-            height=10.0,
-            active=i not in off,
-            sectors=[SectorState(7.0, mid) for _ in range(3)],
-        )
+        Gbs(id=i, position=pos, height=10.0, active=i not in off)
         for i, pos in enumerate(_lattice_positions(cfg.k_gbs, cfg.inter_site_m))
     ]
     try:
-        return Scenario(
-            gbss=gbss,
-            mu_count=cfg.mu_count,
+        constraints = ConstraintConfig(
+            pi_thresh=pi_thresh,
+            pi_k_max=pi_k_max,
+            p_min_dbm=cfg.p_min_dbm,
+            p_max_dbm=cfg.p_max_dbm,
             d_min=cfg.d_min,
             d_max=cfg.d_max,
             rate_min=cfg.rate_min,
             rate_max=cfg.rate_max,
+        )
+        return Scenario(
+            gbss=gbss,
+            mu_count=cfg.mu_count,
             constraints=constraints,
             channel=cfg.channel(),
             antenna=cfg.antenna(),
             horizon=cfg.horizon,
-            seed=cfg.seed,
             rsrp_threshold_dbm=cfg.rsrp_threshold_dbm,
             resample_on_reset=cfg.resample_on_reset,
-            sector_limit=cfg.sector_limit,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -242,8 +232,6 @@ EVAL_WINDOW = 10  # terminal steps of each episode that enter the average
 
 
 def evaluate_policy(policy, scn: Scenario, episodes: int, rng: np.random.Generator) -> EvalSummary:
-    from .env import encode_features
-
     env = NesEnv(scn, rng)
     window = max(1, min(EVAL_WINDOW, scn.horizon))
     rewards = []
@@ -268,8 +256,6 @@ def evaluate_policy(policy, scn: Scenario, episodes: int, rng: np.random.Generat
 
 def brute_force_best(env: NesEnv) -> tuple[int, float]:
     """Exhaustive one-step search over the whole joint action space."""
-    from .env import action_space_size
-
     best_a, best_r = 0, -float("inf")
     for a in range(action_space_size(env.scn.sector_count)):
         r = env.evaluate_action(EnvAction(a))
@@ -282,7 +268,6 @@ def brute_force_best(env: NesEnv) -> tuple[int, float]:
 class SweepSpec:
     kind: str                      # 'mu_count' or 'distance_band'
     grid: tuple[float, ...]
-    policies: tuple[str, ...] = ("dqn", "random", "max")
 
     def __post_init__(self):
         if self.kind not in ("mu_count", "distance_band"):
@@ -293,7 +278,7 @@ class SweepSpec:
 
 def distance_band(value: float) -> tuple[float, float]:
     """Grid value v denotes the band [v - 50, v], floored at 20 m."""
-    return (max(20.0, value - 50.0), value)
+    return (max(DISTANCE_BAND_FLOOR_M, value - 50.0), value)
 
 
 @dataclass
@@ -317,19 +302,16 @@ def run_sweep(spec: SweepSpec, cfg: ExperimentConfig, rng: np.random.Generator) 
         point_seed = cfg.seed + i
         scn = generate_scenario(point_cfg, np.random.default_rng(point_seed))
 
-        policies = {}
-        if "dqn" in spec.policies:
-            env = NesEnv(scn, np.random.default_rng(point_seed))
-            net, _ = dqn.train(env, point_cfg.agent(), point_cfg.iterations, np.random.default_rng(point_seed))
-            policies["dqn"] = make_greedy_policy(net)
-        if "random" in spec.policies:
-            policies["random"] = make_random_policy()
-        if "max" in spec.policies:
-            policies["max"] = make_max_policy()
-
-        for name in spec.policies:
+        env = NesEnv(scn, np.random.default_rng(point_seed))
+        net, _ = dqn.train(env, point_cfg.agent(), point_cfg.iterations, np.random.default_rng(point_seed))
+        policies = {
+            "dqn": make_greedy_policy(net),
+            "random": make_random_policy(),
+            "max": make_max_policy(),
+        }
+        for name, policy in policies.items():
             summary = evaluate_policy(
-                policies[name], scn, point_cfg.eval_episodes, np.random.default_rng(point_seed + 1)
+                policy, scn, point_cfg.eval_episodes, np.random.default_rng(point_seed + 1)
             )
             rows.append(
                 SweepRow(spec.kind, float(value), name, summary.mean_reward,

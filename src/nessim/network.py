@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -13,13 +13,9 @@ from .radio import (
     Position,
     approx_rate,
     azimuth_gain_db,
-    combined_gain_db,
-    compute_angles,
     db_to_linear,
     dbm_to_watts,
-    distance_3d,
     elevation_gain_db,
-    received_power,
     wrap_deg,
 )
 
@@ -32,39 +28,15 @@ MU_HEIGHT_M = 1.5
 
 
 @dataclass
-class SectorState:
-    tilt_deg: float
-    power_dbm: float
-
-
-@dataclass
 class Gbs:
     id: int
     position: Position
     height: float = 10.0
     active: bool = True
-    sectors: list[SectorState] = field(default_factory=list)
 
     def __post_init__(self):
         if self.id < 0:
             raise ValueError("GBS id must be >= 0")  # -1 marks an unattached MU
-        if not self.sectors:
-            self.sectors = [SectorState(7.0, 22.5) for _ in range(3)]
-        if len(self.sectors) != 3:
-            raise ValueError("a GBS has exactly three sectors")
-
-
-@dataclass
-class Mu:
-    id: int
-    position: Position
-    height: float = MU_HEIGHT_M
-    rate_threshold: float = 1.0                    # bits/s/Hz
-    rsrp_threshold: float = dbm_to_watts(-100.0)   # watts
-
-    def __post_init__(self):
-        if self.rsrp_threshold <= 0:
-            raise ValueError("rsrp_threshold must be > 0")
 
 
 @dataclass(frozen=True)
@@ -94,11 +66,10 @@ class Assignment:
     """Per-MU serving links, indicator gates and rates, one array entry per MU
     in geometry order, for the applied per-(GBS, sector) tilts and powers.
 
-    The dict views keyed by MU id (`serving`, `vartheta`, `gamma_ind`,
-    `pi_ind`, `rate`) are built on first read.
+    The dict views keyed by MU index (`vartheta`, `gamma_ind`, `pi_ind`) are
+    built on first read.
     """
 
-    mu_ids: np.ndarray          # (U,)
     serving_gbs: np.ndarray     # (U,) GBS id, -1 when unattached
     serving_sector: np.ndarray  # (U,) sector index, -1 when unattached
     vartheta_mask: np.ndarray   # (U,) RSRP gate
@@ -116,13 +87,9 @@ class Assignment:
         ids, counts = np.unique(gbs_ids, return_counts=True)
         return dict(zip(ids.tolist(), counts.tolist()))
 
-    def _by_mu(self, values: np.ndarray) -> dict:
-        return dict(zip(self.mu_ids.tolist(), values.tolist()))
-
-    @cached_property
-    def serving(self) -> dict[int, tuple[int, int] | None]:
-        links = zip(self.mu_ids.tolist(), self.serving_gbs.tolist(), self.serving_sector.tolist())
-        return {u: (k, s) if k >= 0 else None for u, k, s in links}
+    @staticmethod
+    def _by_mu(values: np.ndarray) -> dict:
+        return dict(enumerate(values.tolist()))
 
     @cached_property
     def vartheta(self) -> dict[int, bool]:
@@ -136,10 +103,6 @@ class Assignment:
     def pi_ind(self) -> dict[int, bool]:
         return self._by_mu(self.pi_mask)
 
-    @cached_property
-    def rate(self) -> dict[int, float]:
-        return self._by_mu(self.rates)
-
 
 @dataclass(frozen=True)
 class ConstraintReport:
@@ -150,19 +113,6 @@ class ConstraintReport:
     power_ok: bool          # (g) sector powers within [p_min, p_max]
     distance_ok: bool       # (h) nearest-GBS 3D distance within [d_min, d_max]
     tilt_ok: bool           # (i) tilts within [0, 14] degrees
-
-    def all_ok(self) -> bool:
-        return all(
-            (
-                self.served_count_ok,
-                self.capacity_ok,
-                self.rates_ok,
-                self.rate_band_ok,
-                self.power_ok,
-                self.distance_ok,
-                self.tilt_ok,
-            )
-        )
 
 
 def _value_range(values: np.ndarray) -> tuple[float, float]:
@@ -177,8 +127,8 @@ class RadioGeometry:
     depends on positions alone is cached as arrays: distances, elevation
     angles, and azimuth gains per sector. So are the ranges that the
     position-only constraints check: nearest-GBS distance and rate threshold.
-    MUs are given as arrays (one entry per MU); heights and thresholds may
-    be scalars shared by all of them, and ids default to 0..U-1.
+    MUs are given as arrays, one entry per MU, indexed 0..U-1 and standing at
+    `MU_HEIGHT_M`; the thresholds may be scalars shared by all of them.
     """
 
     def __init__(
@@ -190,8 +140,6 @@ class RadioGeometry:
         rsrp_thresholds,
         ch: ChannelParams,
         ap: AntennaParams,
-        mu_heights=MU_HEIGHT_M,
-        mu_ids=None,
     ):
         if not gbss:
             raise ValueError("at least one GBS required")
@@ -202,8 +150,6 @@ class RadioGeometry:
         self.n_gbs = len(gbss)
         self.n_mu = len(ux)
         self.mu_x, self.mu_y = ux, uy
-        self.mu_heights = np.broadcast_to(np.asarray(mu_heights, dtype=float), ux.shape)
-        self.mu_ids = np.arange(self.n_mu) if mu_ids is None else np.asarray(mu_ids, dtype=np.int64)
         self.rate_thresholds = np.broadcast_to(np.asarray(rate_thresholds, dtype=float), ux.shape)
         self.rsrp_thresholds = np.broadcast_to(np.asarray(rsrp_thresholds, dtype=float), ux.shape)
         self.gbs_ids = np.array([g.id for g in gbss], dtype=np.int64)
@@ -214,7 +160,8 @@ class RadioGeometry:
         gh = np.array([g.height for g in gbss])
         dx = ux[:, None] - gx[None, :]
         dy = uy[:, None] - gy[None, :]
-        dz = gh[None, :] - self.mu_heights[:, None]
+        # A full (U, K) array like d2d: numpy may run another SIMD loop on a broadcast one.
+        dz = gh[None, :] - np.full((self.n_mu, 1), MU_HEIGHT_M)
         d2d = np.hypot(dx, dy)
         self.d3d = np.sqrt(d2d**2 + dz**2)                      # (U, K)
         self.theta_elev = np.degrees(np.arctan2(dz, d2d))       # (U, K)
@@ -230,20 +177,6 @@ class RadioGeometry:
         self.nearest_range = _value_range(self.nearest_d3d)
         self.rate_threshold_range = _value_range(self.rate_thresholds)
 
-    @classmethod
-    def from_mus(cls, gbss: list[Gbs], mus: list[Mu], ch: ChannelParams, ap: AntennaParams):
-        return cls(
-            gbss,
-            [m.position.x for m in mus],
-            [m.position.y for m in mus],
-            [m.rate_threshold for m in mus],
-            [m.rsrp_threshold for m in mus],
-            ch,
-            ap,
-            mu_heights=[m.height for m in mus],
-            mu_ids=[m.id for m in mus],
-        )
-
     def mean_rx_power(self, tilts_deg: np.ndarray, powers_dbm: np.ndarray) -> np.ndarray:
         """Fading-free received power, shape (U, K, 3); zero for off GBSs."""
         el_gain_db = elevation_gain_db(self.theta_elev[:, :, None], tilts_deg[None, :, :], self.ap)
@@ -257,23 +190,6 @@ class RadioGeometry:
         return rx
 
 
-def sector_arrays(gbss: list[Gbs]) -> tuple[np.ndarray, np.ndarray]:
-    tilts = np.array([[s.tilt_deg for s in g.sectors] for g in gbss])
-    powers = np.array([[s.power_dbm for s in g.sectors] for g in gbss])
-    return tilts, powers
-
-
-def rsrp(gbs: Gbs, sector: int, mu: Mu, ch: ChannelParams, ap: AntennaParams) -> float:
-    """Fading-free received power from one sector toward one MU, watts."""
-    sec = gbs.sectors[sector]
-    d3d = distance_3d(gbs.position, gbs.height, mu.position, mu.height)
-    geom = compute_angles(
-        gbs.position, gbs.height, mu.position, mu.height, SECTOR_BORESIGHTS_DEG[sector]
-    )
-    gain = combined_gain_db(geom, sec.tilt_deg, ap)
-    return received_power(dbm_to_watts(sec.power_dbm), 1.0, d3d, gain, ch)
-
-
 def associate_cached(geom: RadioGeometry, tilts_deg, powers_dbm, cfg: ConstraintConfig) -> Assignment:
     """Best-RSRP association with capacity eviction, over cached geometry."""
     tilts = np.asarray(tilts_deg, float)
@@ -282,8 +198,7 @@ def associate_cached(geom: RadioGeometry, tilts_deg, powers_dbm, cfg: Constraint
     if n == 0 or not geom.active.any():
         off = np.zeros(n, dtype=bool)
         return Assignment(
-            geom.mu_ids, np.full(n, -1), np.full(n, -1), off, off.copy(), off.copy(),
-            np.zeros(n), tilts, powers,
+            np.full(n, -1), np.full(n, -1), off, off.copy(), off.copy(), np.zeros(n), tilts, powers,
         )
 
     rx = geom.mean_rx_power(tilts, powers)
@@ -303,7 +218,7 @@ def associate_cached(geom: RadioGeometry, tilts_deg, powers_dbm, cfg: Constraint
         if not geom.active[k]:
             attached[members] = False  # unreachable: off GBS rx is 0
         elif len(members) > cfg.pi_k_max:
-            order = np.lexsort((geom.mu_ids[members], -cand_rx[members]))
+            order = np.argsort(-cand_rx[members], kind="stable")
             attached[members[order[cfg.pi_k_max:]]] = False
 
     # Interference: other active GBSs via their best sector toward the MU.
@@ -315,7 +230,6 @@ def associate_cached(geom: RadioGeometry, tilts_deg, powers_dbm, cfg: Constraint
     vartheta = attached & (cand_rx >= geom.rsrp_thresholds)
     gamma = attached & (rates >= geom.rate_thresholds)
     return Assignment(
-        geom.mu_ids,
         np.where(attached, geom.gbs_ids[cand_gbs], -1),
         np.where(attached, cand_sector, -1),
         vartheta,
@@ -325,18 +239,6 @@ def associate_cached(geom: RadioGeometry, tilts_deg, powers_dbm, cfg: Constraint
         tilts,
         powers,
     )
-
-
-def associate(
-    gbss: list[Gbs],
-    mus: list[Mu],
-    ch: ChannelParams,
-    ap: AntennaParams,
-    cfg: ConstraintConfig,
-) -> Assignment:
-    geom = RadioGeometry.from_mus(gbss, mus, ch, ap)
-    tilts, powers = sector_arrays(gbss)
-    return associate_cached(geom, tilts, powers, cfg)
 
 
 def objective_value(a: Assignment) -> float:

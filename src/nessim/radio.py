@@ -1,5 +1,5 @@
 """Closed-form radio physics: geometry, sector antenna gains, Rician fading,
-received power, and instantaneous / fading-averaged throughput."""
+and instantaneous / fading-averaged throughput."""
 
 from __future__ import annotations
 
@@ -10,10 +10,6 @@ import numpy as np
 
 # Euler-Mascheroni constant as used in the fading-averaged rate formula.
 EULER_GAMMA = 0.5772156649
-
-
-class DegenerateGeometry(ValueError):
-    """Azimuth bearing is undefined (zero horizontal separation)."""
 
 
 def db_to_linear(db):
@@ -103,23 +99,6 @@ def distance_3d(gbs_pos: Position, h_k: float, mu_pos: Position, h_u: float) -> 
     return math.sqrt((h_k - h_u) ** 2 + dx * dx + dy * dy)
 
 
-def compute_angles(
-    gbs_pos: Position,
-    h_k: float,
-    mu_pos: Position,
-    h_u: float,
-    sector_azimuth_deg: float,
-) -> AngleGeometry:
-    dx = mu_pos.x - gbs_pos.x
-    dy = mu_pos.y - gbs_pos.y
-    d2d = math.hypot(dx, dy)
-    if d2d == 0.0:
-        raise DegenerateGeometry("azimuth undefined: MU directly under the GBS")
-    theta = math.degrees(math.atan2(h_k - h_u, d2d))
-    bearing = math.degrees(math.atan2(dy, dx))
-    return AngleGeometry(theta, wrap_deg(bearing - sector_azimuth_deg))
-
-
 def azimuth_gain_db(psi_azim_deg, p: AntennaParams):
     psi = np.asarray(psi_azim_deg, dtype=float)
     att = np.minimum(12.0 * (psi / p.psi_3db_deg) ** 2, p.front_back_f_db)
@@ -154,10 +133,6 @@ def sample_rician_power(k_factor: float, rng: np.random.Generator, size=None):
     h = los + math.sqrt(1.0 / (k_factor + 1.0)) * scatter
     power = np.abs(h) ** 2
     return float(power[0]) if size is None else power
-
-
-def received_power(p_tx, h2, d3d, gain_db, ch: ChannelParams):
-    return p_tx * h2 * d3d ** (-ch.alpha) * db_to_linear(gain_db) * ch.rx_gain
 
 
 def sinr(signal_rx, interferer_rx, d3d, ch: ChannelParams):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,27 +13,21 @@ from nessim.env import (
     Scenario,
     action_space_size,
     decode_action,
-    encode_action,
     encode_features,
 )
-from nessim.network import ConstraintConfig, Gbs, SectorState, TILT_MAX_DEG
-from nessim.radio import AntennaParams, ChannelParams, Position, dbm_to_watts
+from nessim.network import MU_HEIGHT_M, TILT_MAX_DEG, ConstraintConfig, Gbs
+from nessim.radio import AntennaParams, ChannelParams, Position, dbm_to_watts, distance_3d
 
 
 def make_scenario(**kw):
     defaults = dict(
-        gbss=[Gbs(0, Position(0, 0), 10.0, True, [SectorState(7.0, 22.5) for _ in range(3)])],
+        gbss=[Gbs(0, Position(0, 0), 10.0, True)],
         mu_count=6,
-        d_min=20.0,
-        d_max=150.0,
-        rate_min=0.5,
-        rate_max=2.0,
         constraints=ConstraintConfig(pi_thresh=2, pi_k_max=12, p_min_dbm=0.0, p_max_dbm=45.0,
                                      d_min=20.0, d_max=150.0, rate_min=0.5, rate_max=2.0),
         channel=ChannelParams(sigma2=dbm_to_watts(-104.0)),
         antenna=AntennaParams(),
         horizon=20,
-        seed=0,
     )
     defaults.update(kw)
     return Scenario(**defaults)
@@ -58,12 +54,19 @@ class TestActionCoding:
 
     @given(st.integers(1, 4), st.data())
     def test_roundtrip(self, s_count, data):
+        # Each sector's base-9 digit is read back from its (tilt, power) delta,
+        # so decode_action is injective.
         idx = data.draw(st.integers(0, action_space_size(s_count) - 1))
-        assert encode_action(decode_action(EnvAction(idx), s_count)).index == idx
+        deltas = decode_action(EnvAction(idx), s_count)
+        digits = [int((dt + 1) * 3 + (dp / 5.0 + 1)) for dt, dp in deltas]
+        assert sum(d * 9**i for i, d in enumerate(digits)) == idx
 
     def test_exhaustive_bijection_s2(self):
-        seen = {encode_action(decode_action(EnvAction(i), 2)).index for i in range(81)}
-        assert seen == set(range(81))
+        # Injective on all 81 actions of two sectors, each delta in the grid.
+        decoded = {tuple(decode_action(EnvAction(i), 2)) for i in range(81)}
+        assert len(decoded) == 81
+        grid = {(dt, dp) for dt in (-1.0, 0.0, 1.0) for dp in (-5.0, 0.0, 5.0)}
+        assert all(set(deltas) <= grid for deltas in decoded)
 
 
 class TestReset:
@@ -71,9 +74,8 @@ class TestReset:
         scn = make_scenario()
         e1, e2 = NesEnv(scn, np.random.default_rng(3)), NesEnv(scn, np.random.default_rng(3))
         e1.reset(), e2.reset()
-        for m1, m2 in zip(e1.mus, e2.mus):
-            assert (m1.position.x, m1.position.y, m1.rate_threshold) == (
-                m2.position.x, m2.position.y, m2.rate_threshold)
+        for name in ("mu_x", "mu_y", "rate_thresholds"):
+            assert np.array_equal(getattr(e1.geom, name), getattr(e2.geom, name))
 
     def test_initial_state_midpoints(self):
         env = NesEnv(make_scenario(), np.random.default_rng(0))
@@ -83,16 +85,14 @@ class TestReset:
 
     def test_degenerate_annulus(self):
         scn = make_scenario(
-            d_min=99.999999, d_max=100.0,
             constraints=ConstraintConfig(pi_thresh=2, pi_k_max=12, d_min=99.999999, d_max=100.0,
                                          rate_min=0.5, rate_max=2.0),
         )
         env = NesEnv(scn, np.random.default_rng(0))
         env.reset()
-        from nessim.radio import distance_3d
-
-        for m in env.mus:
-            d = distance_3d(scn.gbss[0].position, 10.0, m.position, 1.5)
+        assert env.geom.n_mu == scn.mu_count
+        for x, y in zip(env.geom.mu_x.tolist(), env.geom.mu_y.tolist()):
+            d = distance_3d(scn.gbss[0].position, 10.0, Position(x, y), MU_HEIGHT_M)
             assert d == pytest.approx(100.0, abs=1e-4)
 
     def test_empty_network(self):
@@ -207,7 +207,7 @@ class TestStep:
 class TestSharedScenario:
     def test_envs_on_one_scenario_do_not_interact(self):
         scn = make_scenario()
-        sectors_before = [[(s.tilt_deg, s.power_dbm) for s in g.sectors] for g in scn.gbss]
+        gbss_before = copy.deepcopy(scn.gbss)
         actions = [int(a) for a in np.random.default_rng(5).integers(0, 729, 12)]
 
         solo = NesEnv(scn, np.random.default_rng(3))
@@ -221,7 +221,7 @@ class TestSharedScenario:
             rewards.append(first.step(EnvAction(a)).reward)
             second.step(EnvAction(728 - a))
         assert rewards == solo_rewards
-        assert [[(s.tilt_deg, s.power_dbm) for s in g.sectors] for g in scn.gbss] == sectors_before
+        assert scn.gbss == gbss_before
 
 
 class TestFeatures:

@@ -235,6 +235,11 @@ class TestCli:
             {"buffer_capacity": 0},
             {"buffer_capacity": 499, "warmup": 500},
             {"hidden_sizes": [0]},
+            {"pi_k_max": 0},
+            {"pi_thresh": -1},
+            {"distance_grid": [50, 10]},
+            {"mu_grid": [-3]},
+            {"mu_grid": 5},
         ):
             bad.write_text(json.dumps(values))
             r = self.run_cli("train", "--config", str(bad), "--out", str(tmp_path / "out"))

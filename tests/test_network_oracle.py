@@ -1,9 +1,9 @@
 """Oracle test for the array-backed association, constraint checks and objective.
 
 The reference below is the earlier per-user implementation: geometry built
-from `Mu` objects, association results as dicts keyed by MU id, constraint
-checks that loop over users with `radio.distance_3d` and read the sector
-state from the `Gbs` objects, and the objective summed over dicts. The array
+from one record per MU, association results as dicts keyed by MU index,
+constraint checks that loop over users with `radio.distance_3d` and over the
+sector settings one by one, and the objective summed over dicts. The array
 path must reproduce it exactly, bit for bit, on hypothesis-drawn drops.
 """
 
@@ -15,15 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nessim.network import (
+    MU_HEIGHT_M,
     SECTOR_BORESIGHTS_DEG,
     TILT_MAX_DEG,
     TILT_MIN_DEG,
     ConstraintConfig,
     ConstraintReport,
     Gbs,
-    Mu,
     RadioGeometry,
-    SectorState,
     associate_cached,
     check_constraints,
     objective_value,
@@ -41,6 +40,15 @@ from nessim.radio import (
 # ---------------------------------------------------------------- reference
 
 
+@dataclass(frozen=True)
+class MuRecord:
+    """One MU of a drop; it stands at MU_HEIGHT_M and its id is its index."""
+
+    position: Position
+    rate_threshold: float  # bits/s/Hz
+    rsrp_threshold: float  # watts
+
+
 class ReferenceGeometry:
     def __init__(self, gbss, mus, ch, ap):
         self.gbss, self.mus, self.ch, self.ap = gbss, mus, ch, ap
@@ -50,7 +58,7 @@ class ReferenceGeometry:
         gh = np.array([g.height for g in gbss])
         ux = np.array([m.position.x for m in mus])
         uy = np.array([m.position.y for m in mus])
-        uh = np.array([m.height for m in mus])
+        uh = np.full(len(mus), MU_HEIGHT_M)
         dx = ux[:, None] - gx[None, :]
         dy = uy[:, None] - gy[None, :]
         dz = gh[None, :] - uh[:, None]
@@ -99,9 +107,9 @@ class ReferenceAssignment:
 def reference_associate(geom, tilts, powers, cfg):
     mus, gbss = geom.mus, geom.gbss
     if geom.n_mu == 0 or not geom.active.any():
-        off = {m.id: False for m in mus}
+        off = dict.fromkeys(range(geom.n_mu), False)
         return ReferenceAssignment(
-            {m.id: None for m in mus}, dict(off), dict(off), dict(off), {m.id: 0.0 for m in mus}
+            dict.fromkeys(off), dict(off), dict(off), dict(off), dict.fromkeys(off, 0.0)
         )
     rx = geom.mean_rx_power(tilts, powers)
     best_sector = np.argmax(rx, axis=2)
@@ -111,7 +119,7 @@ def reference_associate(geom, tilts, powers, cfg):
     cand_gbs, cand_sector = cand // 3, cand % 3
     cand_rx = flat[np.arange(geom.n_mu), cand]
     attached = np.ones(geom.n_mu, dtype=bool)
-    mu_ids = np.array([m.id for m in mus])
+    mu_ids = np.arange(geom.n_mu)
     for k in range(geom.n_gbs):
         if not geom.active[k]:
             attached[cand_gbs == k] = False
@@ -130,14 +138,14 @@ def reference_associate(geom, tilts, powers, cfg):
     gamma = attached & (rates >= geom.rate_thresholds)
     pi = vartheta & gamma
     serving = {}
-    for i, m in enumerate(mus):
-        serving[m.id] = (gbss[cand_gbs[i]].id, int(cand_sector[i])) if attached[i] else None
+    for i in range(len(mus)):
+        serving[i] = (gbss[cand_gbs[i]].id, int(cand_sector[i])) if attached[i] else None
     return ReferenceAssignment(
         serving,
-        {m.id: bool(vartheta[i]) for i, m in enumerate(mus)},
-        {m.id: bool(gamma[i]) for i, m in enumerate(mus)},
-        {m.id: bool(pi[i]) for i, m in enumerate(mus)},
-        {m.id: (float(rates[i]) if attached[i] else 0.0) for i, m in enumerate(mus)},
+        {i: bool(vartheta[i]) for i in range(len(mus))},
+        {i: bool(gamma[i]) for i in range(len(mus))},
+        {i: bool(pi[i]) for i in range(len(mus))},
+        {i: (float(rates[i]) if attached[i] else 0.0) for i in range(len(mus))},
     )
 
 
@@ -145,27 +153,25 @@ def reference_objective(a):
     return sum(a.rate[mu_id] for mu_id, served in a.pi_ind.items() if served)
 
 
-def reference_check_constraints(a, gbss, mus, cfg):
+def reference_check_constraints(a, gbss, mus, tilts, powers, cfg):
     per_gbs = a.served_per_gbs()
-    thresholds = {m.id: m.rate_threshold for m in mus}
     rates_ok = True
     for mu_id, is_served in a.pi_ind.items():
-        if is_served and a.rate[mu_id] < thresholds[mu_id]:
+        if is_served and a.rate[mu_id] < mus[mu_id].rate_threshold:
             rates_ok = False
     distance_ok = True
     for m in mus:
-        d_near = min(distance_3d(g.position, g.height, m.position, m.height) for g in gbss)
+        d_near = min(distance_3d(g.position, g.height, m.position, MU_HEIGHT_M) for g in gbss)
         if not cfg.d_min <= d_near <= cfg.d_max:
             distance_ok = False
-    sectors = [s for g in gbss for s in g.sectors]
     return ConstraintReport(
         served_count_ok=a.served_count() >= cfg.pi_thresh,
         capacity_ok=all(c <= cfg.pi_k_max for c in per_gbs.values()),
         rates_ok=rates_ok,
         rate_band_ok=all(cfg.rate_min <= m.rate_threshold <= cfg.rate_max for m in mus),
-        power_ok=all(cfg.p_min_dbm <= s.power_dbm <= cfg.p_max_dbm for s in sectors),
+        power_ok=all(cfg.p_min_dbm <= p <= cfg.p_max_dbm for p in powers.ravel().tolist()),
         distance_ok=distance_ok,
-        tilt_ok=all(TILT_MIN_DEG <= s.tilt_deg <= TILT_MAX_DEG for s in sectors),
+        tilt_ok=all(TILT_MIN_DEG <= t <= TILT_MAX_DEG for t in tilts.ravel().tolist()),
     )
 
 
@@ -197,23 +203,23 @@ def drops(draw):
         for k in range(n_gbs)
     ]
     n_mu = draw(st.integers(0, 20))  # np.sum would add 8 or more terms pairwise
-    ids = draw(st.lists(st.integers(0, 99), min_size=n_mu, max_size=n_mu, unique=True))
     mus = []
-    for u in range(n_mu):
+    for _ in range(n_mu):
         if mus and draw(st.booleans()):
             pos = mus[draw(st.integers(0, len(mus) - 1))].position  # capacity-eviction tie
         else:
             pos = Position(draw(coords), draw(coords))
-        mus.append(Mu(
-            ids[u], pos, draw(st.sampled_from([1.5, 1.7, 2.0])),
-            draw(st.floats(0.0, 4.0)), dbm_to_watts(draw(st.floats(-120.0, -60.0))),
+        mus.append(MuRecord(
+            pos, draw(st.floats(0.0, 4.0)), dbm_to_watts(draw(st.floats(-120.0, -60.0))),
         ))
     angles = st.one_of(st.sampled_from([TILT_MIN_DEG, TILT_MAX_DEG]), st.floats(-2.0, 16.0))
     levels = st.one_of(st.sampled_from([0.0, 45.0]), st.floats(-5.0, 50.0))
     tilts = np.array([[draw(angles) for _ in range(3)] for _ in gbss])
     powers = np.array([[draw(levels) for _ in range(3)] for _ in gbss])
 
-    nearest = [min(distance_3d(g.position, g.height, m.position, m.height) for g in gbss) for m in mus]
+    nearest = [
+        min(distance_3d(g.position, g.height, m.position, MU_HEIGHT_M) for g in gbss) for m in mus
+    ]
     thresholds = [m.rate_threshold for m in mus]
     d_min, d_max = band_around(draw, min(nearest, default=20.0), max(nearest, default=150.0))
     rate_min, rate_max = band_around(draw, min(thresholds, default=1.0), max(thresholds, default=3.0))
@@ -239,30 +245,40 @@ def drops(draw):
 # ---------------------------------------------------------------- the oracle
 
 
+def geometry_of(gbss, mus, ch, ap):
+    """The array geometry for a list of MU records."""
+    return RadioGeometry(
+        gbss,
+        [m.position.x for m in mus],
+        [m.position.y for m in mus],
+        [m.rate_threshold for m in mus],
+        [m.rsrp_threshold for m in mus],
+        ch,
+        ap,
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(drops())
 def test_array_path_matches_per_user_reference(case):
     gbss, mus, tilts, powers, cfg, ch, ap = case
-    geom = RadioGeometry.from_mus(gbss, mus, ch, ap)
+    geom = geometry_of(gbss, mus, ch, ap)
     ref_geom = ReferenceGeometry(gbss, mus, ch, ap)
     if mus and geom.active.any():
         assert np.array_equal(geom.mean_rx_power(tilts, powers), ref_geom.mean_rx_power(tilts, powers))
 
     a = associate_cached(geom, tilts, powers, cfg)
     ref = reference_associate(ref_geom, tilts, powers, cfg)
-    assert a.serving == ref.serving
+    links = zip(a.serving_gbs.tolist(), a.serving_sector.tolist())
+    assert {u: (k, s) if k >= 0 else None for u, (k, s) in enumerate(links)} == ref.serving
     assert a.vartheta == ref.vartheta
     assert a.gamma_ind == ref.gamma_ind
     assert a.pi_ind == ref.pi_ind
-    assert a.rate == ref.rate
+    assert dict(enumerate(a.rates.tolist())) == ref.rate
     assert a.served_count() == ref.served_count()
     assert a.served_per_gbs() == ref.served_per_gbs()
     # repr tells 0 from 0.0 and shows every bit of a float.
     assert repr(objective_value(a)) == repr(reference_objective(ref))
-
-    applied = [
-        Gbs(g.id, g.position, g.height, g.active,
-            [SectorState(float(tilts[k, s]), float(powers[k, s])) for s in range(3)])
-        for k, g in enumerate(gbss)
-    ]
-    assert check_constraints(a, geom, cfg) == reference_check_constraints(ref, applied, mus, cfg)
+    assert check_constraints(a, geom, cfg) == reference_check_constraints(
+        ref, gbss, mus, tilts, powers, cfg
+    )

@@ -5,23 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nessim import radio
+from nessim.network import Gbs, RadioGeometry
 from nessim.radio import (
     EULER_GAMMA,
     AngleGeometry,
     AntennaParams,
     ChannelParams,
-    DegenerateGeometry,
     Position,
     approx_rate,
     azimuth_gain_db,
     combined_gain_db,
-    compute_angles,
     distance_3d,
     dbm_to_watts,
     elevation_gain_db,
     instantaneous_rate,
-    received_power,
     sample_rician_power,
     sinr,
 )
@@ -33,6 +30,12 @@ def make_channel(**kw):
     defaults = dict(alpha=3.0, sigma2=1e-13, phi_ric=0.1, rician_k=0.0, rx_gain=1.0)
     defaults.update(kw)
     return ChannelParams(**defaults)
+
+
+def one_link(mu_x, gbs_height=10.0, ch=None, ap=AP):
+    """Geometry of one GBS at the origin and one MU at (mu_x, 0), 1.5 m high."""
+    gbss = [Gbs(0, Position(0.0, 0.0), gbs_height)]
+    return RadioGeometry(gbss, [mu_x], [0.0], 1.0, 1e-13, ch or make_channel(), ap)
 
 
 class TestDistance:
@@ -49,22 +52,25 @@ class TestDistance:
 
 
 class TestAngles:
+    # Sector boresights are 0, 120 and -120 degrees; the azimuth gain of a
+    # sector is 14 - min(12 (psi / 70)^2, 20) dB at offset psi.
+
     def test_due_east(self):
-        g = compute_angles(Position(0, 0), 10.0, Position(8.5, 0), 1.5, 0.0)
-        assert g.theta_elev_deg == pytest.approx(45.0)
-        assert g.psi_azim_deg == pytest.approx(0.0)
+        geom = one_link(8.5)
+        assert geom.theta_elev[0, 0] == pytest.approx(45.0)
+        assert geom.az_gain_db[0, 0, 0] == pytest.approx(14.0)
 
     def test_boresight_offset(self):
-        g = compute_angles(Position(0, 0), 10.0, Position(8.5, 0), 1.5, 120.0)
-        assert g.psi_azim_deg == pytest.approx(-120.0)
+        # 120 degrees off both other boresights: past the front-back clamp.
+        geom = one_link(8.5)
+        assert geom.az_gain_db[0, 0, 1:].tolist() == pytest.approx([-6.0, -6.0])
 
     def test_wraps_into_half_open_interval(self):
-        g = compute_angles(Position(0, 0), 10.0, Position(-8.5, 0), 1.5, -120.0)
-        assert g.psi_azim_deg == pytest.approx(-60.0)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateGeometry):
-            compute_angles(Position(0, 0), 10.0, Position(0, 0), 1.5, 0.0)
+        # Due west: 180 - (-120) = 300 wraps to -60 degrees off sector 2, and
+        # sector 1 sits 60 degrees off, so both gain 14 - 12 (60/70)^2 dB.
+        geom = one_link(-8.5)
+        gain = 14.0 - 12.0 * (60.0 / 70.0) ** 2
+        assert geom.az_gain_db[0, 0].tolist() == pytest.approx([-6.0, gain, gain])
 
 
 class TestGains:
@@ -138,19 +144,22 @@ class TestRicianFading:
 
 
 class TestReceivedPower:
+    # 1 W (30 dBm) at 0 dB antenna gain: a 0 dBi azimuth peak, and a GBS at
+    # the MU's height with zero tilt, so the MU sits on both boresights.
+    FLAT = AntennaParams(g_max_dbi=0.0)
+
+    def rx(self, d, alpha):
+        geom = one_link(d, gbs_height=1.5, ch=make_channel(alpha=alpha), ap=self.FLAT)
+        return geom.mean_rx_power(np.zeros((1, 3)), np.full((1, 3), 30.0))[0, 0, 0]
+
     def test_identity_composition(self):
-        ch = make_channel(alpha=2.0)
-        assert received_power(1.0, 1.0, 1.0, 0.0, ch) == pytest.approx(1.0)
+        assert self.rx(1.0, 2.0) == pytest.approx(1.0)
 
     def test_inverse_square(self):
-        ch = make_channel(alpha=2.0)
-        p1 = received_power(1.0, 1.0, 10.0, 0.0, ch)
-        p2 = received_power(1.0, 1.0, 20.0, 0.0, ch)
-        assert p1 / p2 == pytest.approx(4.0)
+        assert self.rx(10.0, 2.0) / self.rx(20.0, 2.0) == pytest.approx(4.0)
 
     def test_cubic_pathloss(self):
-        ch = make_channel(alpha=3.0)
-        assert received_power(1.0, 1.0, 10.0, 0.0, ch) == pytest.approx(1e-3)
+        assert self.rx(10.0, 3.0) == pytest.approx(1e-3)
 
 
 class TestSinr:
