@@ -55,6 +55,17 @@ class AgentConfig:
             raise ValueError("hidden sizes must be >= 1")
 
 
+def param_count(sizes: list[int]) -> int:
+    return sum(n_in * n_out + n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+
+
+def training_bytes(sizes: list[int]) -> int:
+    """Memory of the float64 vectors with the layout of `Mlp.params` that a
+    training run keeps: params and grad of the net and of the target net,
+    Adam's m and v, and Adam's two scratch vectors."""
+    return 8 * 8 * param_count(sizes)
+
+
 def epsilon_at(cfg: AgentConfig, t: int) -> float:
     """Linear decay from eps_start to eps_end over eps_decay_steps."""
     if cfg.eps_decay_steps <= 0 or t >= cfg.eps_decay_steps:
@@ -76,7 +87,7 @@ class Mlp:
             raise ValueError("need at least input and output sizes")
         self.sizes = list(sizes)
         layers = list(zip(sizes[:-1], sizes[1:]))
-        self.params = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in layers))
+        self.params = np.zeros(param_count(sizes))
         self.grad = np.zeros_like(self.params)
         self.weights, self.biases = self._layer_views(self.params)
         self.grad_weights, self.grad_biases = self._layer_views(self.grad)
@@ -106,8 +117,10 @@ class Mlp:
         a = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
-            a = z if i == last else np.maximum(z, 0.0)
+            a = a @ w  # a new array, so the bias and rectifier below never write to x
+            a += b
+            if i != last:
+                np.maximum(a, 0.0, out=a)
             activations.append(a)
         return (a, activations) if keep_cache else a
 
@@ -194,17 +207,32 @@ class AdamState:
         self.t = 0
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
+        self._step = np.empty_like(net.params)  # scratch, so an update allocates no vector
+        self._denom = np.empty_like(net.params)
 
     def update(self, net: Mlp, grad: np.ndarray, lr: float) -> None:
-        """One step over the whole flat parameter vector; `grad` has its layout."""
+        """One step over the whole flat parameter vector; `grad` has its layout.
+
+        In place, with the rounding of the textbook expressions
+        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+        params -= lr*(m/bc1) / (sqrt(v/bc2) + eps): the operations run in that
+        order, and none is folded into another (no lr/bc1)."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
+        step, denom = self._step, self._denom
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
+        self.m += np.multiply(grad, 1.0 - self.beta1, out=step)
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        net.params -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        np.multiply(grad, 1.0 - self.beta2, out=step)
+        self.v += np.multiply(step, grad, out=step)
+        np.divide(self.m, bc1, out=step)
+        step *= lr
+        np.divide(self.v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        net.params -= step
 
 
 def backprop(net: Mlp, x: np.ndarray, d_out: np.ndarray) -> list[np.ndarray]:
@@ -237,8 +265,10 @@ def train_step(
     err = q[rows, actions] - targets
     loss = float(np.mean(err**2))
 
-    # Gradient flows only through the taken-action output entries.
-    d_out = np.zeros_like(q)
+    # Gradient flows only through the taken-action output entries. `backward`
+    # never reads the output activation, so q's array holds d(loss)/d(q).
+    d_out = q
+    d_out.fill(0.0)
     d_out[rows, actions] = 2.0 * err / len(idx)
     adam.update(net, net.backward(acts, d_out), cfg.learning_rate)
     return loss
@@ -248,9 +278,12 @@ def sync_target(net: Mlp, target_net: Mlp) -> None:
     target_net.copy_from(net)
 
 
+def network_sizes(s_count: int, hidden_sizes: tuple[int, ...]) -> list[int]:
+    return [2 * s_count, *hidden_sizes, action_space_size(s_count)]
+
+
 def build_network(scn_sector_count: int, cfg: AgentConfig, rng: np.random.Generator) -> Mlp:
-    sizes = [2 * scn_sector_count, *cfg.hidden_sizes, action_space_size(scn_sector_count)]
-    return Mlp(sizes, rng)
+    return Mlp(network_sizes(scn_sector_count, cfg.hidden_sizes), rng)
 
 
 def train(
@@ -321,7 +354,7 @@ def load_checkpoint(path) -> Mlp:
     if min(sizes) < 1:
         raise ValueError(f"checkpoint layer sizes {sizes} must be >= 1")
     offset = head + 4 * n_sizes
-    expected = offset + 8 * sum(n_in * n_out + n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+    expected = offset + 8 * param_count(sizes)
     if len(data) != expected:
         raise ValueError(f"checkpoint is {len(data)} bytes, its layer sizes need {expected}")
     net = Mlp(sizes)

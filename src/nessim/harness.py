@@ -6,12 +6,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import baselines, dqn
-from .env import EnvAction, NesEnv, Scenario, action_space_size, encode_features
+from .env import SECTOR_LIMIT, EnvAction, NesEnv, Scenario, action_space_size, encode_features
 from .metrics import EvalSummary, MetricsLog
 from .network import ConstraintConfig, Gbs
 from .radio import AntennaParams, ChannelParams, Position, db_to_linear, dbm_to_watts
@@ -142,6 +143,17 @@ def load_config(path: str | None, **overrides) -> ExperimentConfig:
             raise ValueError("mu_grid: MU counts must be >= 0")
         if any(v <= DISTANCE_BAND_FLOOR_M for v in cfg.distance_grid):
             raise ValueError(f"distance_grid: values must be > {DISTANCE_BAND_FLOOR_M:g} m")
+        # Admission control: the joint action space grows as 9**sectors, so a
+        # DQN that cannot fit in memory is refused before anything is built.
+        s_count = 3 * (cfg.k_gbs - len(set(cfg.off_ids)))
+        if 0 < s_count <= SECTOR_LIMIT:
+            need = dqn.training_bytes(dqn.network_sizes(s_count, cfg.hidden_sizes))
+            have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+            if need > have:
+                raise ValueError(
+                    f"hidden_sizes/off_ids: training the DQN for {s_count} sectors needs about "
+                    f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
+                )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

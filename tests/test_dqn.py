@@ -68,6 +68,24 @@ class TestForward:
             x = rng.standard_normal(4)
             assert np.allclose(forward(net, x), naive_forward(net, x), atol=1e-12)
 
+    def test_bit_exact_layers_and_input_untouched(self):
+        rng = np.random.default_rng(1)
+        net = Mlp([4, 6, 5, 3], rng)
+        buf = ReplayBuffer(20, 4)
+        fill_buffer(buf, 20, 4, rng)
+        before = buf.states.copy()
+        x = buf.states[2:10]  # a view: writing to x would write to the buffer
+        q, acts = net.forward_batch(x, keep_cache=True)
+        assert acts[0] is x
+        assert np.array_equal(buf.states, before)
+        a = x
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            a = a @ w + b
+            if i < len(net.weights) - 1:
+                a = np.maximum(a, 0.0)
+            assert np.array_equal(acts[i + 1], a), i
+        assert acts[-1] is q
+
     def test_dimension_mismatch(self):
         net = Mlp([3, 2])
         with pytest.raises(DimensionMismatch):
@@ -373,6 +391,21 @@ class TestFlatParams:
             net.weights[0] = np.eye(2)
         with pytest.raises(TypeError):
             net.biases[0] = np.zeros(2)
+
+
+class TestAdamAllocation:
+    def test_update_allocates_no_parameter_sized_vector(self):
+        net = Mlp([6, 128, 128, 729], np.random.default_rng(14))
+        adam = AdamState(net)
+        grad = np.random.default_rng(15).standard_normal(net.params.size)
+        adam.update(net, grad, 0.001)  # warm-up
+        tracemalloc.start()
+        try:
+            adam.update(net, grad, 0.001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < net.params.nbytes
 
 
 class TestSyncTarget:

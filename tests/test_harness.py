@@ -240,11 +240,13 @@ class TestCli:
             {"distance_grid": [50, 10]},
             {"mu_grid": [-3]},
             {"mu_grid": 5},
+            {"k_gbs": 2, "off_ids": [], "hidden_sizes": [4096, 4096]},  # > 100 GiB of DQN
         ):
             bad.write_text(json.dumps(values))
             r = self.run_cli("train", "--config", str(bad), "--out", str(tmp_path / "out"))
             assert r.returncode == 2, (values, r.stderr)
             assert r.stderr.startswith("config error"), (values, r.stderr)
+        assert "GiB" in r.stderr  # the oversized DQN's memory estimate
 
     def test_unknown_field_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
