@@ -14,11 +14,9 @@ from .network import (
     TILT_MIN_DEG,
     Assignment,
     ConstraintConfig,
-    ConstraintReport,
     Gbs,
     RadioGeometry,
     associate_cached,
-    check_constraints,
     objective_value,
 )
 from .radio import AntennaParams, ChannelParams, dbm_to_watts
@@ -53,17 +51,14 @@ class Scenario:
             )
 
     @property
-    def controllable(self) -> list[Gbs]:
-        return [g for g in self.gbss if g.active]
-
-    @property
     def sector_count(self) -> int:
-        return 3 * len(self.controllable)
+        return 3 * sum(g.active for g in self.gbss)
 
 
 @dataclass
 class EnvState:
-    """Per-sector (tilt_deg, power_dbm) rows for the controllable sectors."""
+    """Per-sector (tilt_deg, power_dbm) rows for the active GBSs' sectors, in
+    `gbss` order."""
 
     rows: np.ndarray  # shape (S, 2)
 
@@ -83,7 +78,6 @@ class StepResult:
     served_count: int
     done: bool
     objective: float
-    report: ConstraintReport
     assignment: Assignment
 
 
@@ -91,18 +85,20 @@ def action_space_size(s_count: int) -> int:
     return ACTIONS_PER_SECTOR**s_count
 
 
-def decode_action(a: EnvAction, s_count: int) -> list[tuple[float, float]]:
-    """Base-9 digits, sector 0 least significant; digit d maps to
-    (d // 3 - 1) degrees of tilt and (d % 3 - 1) * 5 dB of power."""
+# Row d: the (tilt, power) delta of base-9 digit d, (d // 3 - 1) degrees of
+# tilt and (d % 3 - 1) * 5 dB of power.
+DIGIT_DELTAS = np.array([(d // 3 - 1, d % 3 - 1) for d in range(ACTIONS_PER_SECTOR)]) * (
+    TILT_STEP_DEG, POWER_STEP_DB
+)
+
+
+def decode_action(a: EnvAction, s_count: int) -> np.ndarray:
+    """(S, 2) (tilt, power) deltas from the base-9 digits of the action,
+    sector 0 least significant."""
     idx = a.index
     if not 0 <= idx < action_space_size(s_count):
         raise IndexError(f"action {idx} out of range for {s_count} sectors")
-    deltas = []
-    for _ in range(s_count):
-        d = idx % ACTIONS_PER_SECTOR
-        idx //= ACTIONS_PER_SECTOR
-        deltas.append((float(d // 3 - 1) * TILT_STEP_DEG, float(d % 3 - 1) * POWER_STEP_DB))
-    return deltas
+    return DIGIT_DELTAS[idx // ACTIONS_PER_SECTOR ** np.arange(s_count) % ACTIONS_PER_SECTOR]
 
 
 def encode_features(state: EnvState, scn: Scenario) -> np.ndarray:
@@ -167,49 +163,39 @@ class NesEnv:
         self.t = 0
         return self.state.copy()
 
-    def _full_arrays(self, state: EnvState) -> tuple[np.ndarray, np.ndarray]:
-        """Expand controllable rows into per-(gbs, sector) arrays."""
-        n_gbs = len(self.scn.gbss)
-        active = self.geom.active
-        tilts = np.zeros((n_gbs, 3))
-        powers = np.full((n_gbs, 3), self.scn.constraints.p_min_dbm)
-        tilts[active] = state.rows[:, 0].reshape(-1, 3)
-        powers[active] = state.rows[:, 1].reshape(-1, 3)
-        return tilts, powers
-
     def _apply(self, state: EnvState, a: EnvAction) -> EnvState:
         scn = self.scn
-        deltas = np.array(decode_action(a, scn.sector_count))
-        rows = state.rows + deltas
+        rows = state.rows + decode_action(a, scn.sector_count)
         cfg = scn.constraints
         rows[:, 0] = np.clip(rows[:, 0], TILT_MIN_DEG, TILT_MAX_DEG)
         rows[:, 1] = np.clip(rows[:, 1], cfg.p_min_dbm, cfg.p_max_dbm)
         return EnvState(rows)
 
-    def _evaluate(self, state: EnvState) -> tuple[float, int, float, ConstraintReport, Assignment]:
+    def _evaluate(self, state: EnvState) -> tuple[float, int, float, Assignment]:
         scn = self.scn
-        tilts, powers = self._full_arrays(state)
-        assignment = associate_cached(self.geom, tilts, powers, scn.constraints)
-        report = check_constraints(assignment, self.geom, scn.constraints)
+        assignment = associate_cached(
+            self.geom, state.rows[:, 0].reshape(-1, 3), state.rows[:, 1].reshape(-1, 3),
+            scn.constraints,
+        )
         objective = objective_value(assignment)
         served = assignment.served_count()
         reward = objective if served >= scn.constraints.pi_thresh else 0.0
-        return reward, served, objective, report, assignment
+        return reward, served, objective, assignment
 
     def step(self, a: EnvAction) -> StepResult:
         if self.state is None:
             raise RuntimeError("call reset() before step()")
         next_state = self._apply(self.state, a)
-        reward, served, objective, report, assignment = self._evaluate(next_state)
+        reward, served, objective, assignment = self._evaluate(next_state)
         self.state = next_state
         self.t += 1
         done = self.t >= self.scn.horizon
-        return StepResult(next_state.copy(), reward, served, done, objective, report, assignment)
+        return StepResult(next_state.copy(), reward, served, done, objective, assignment)
 
     def evaluate_action(self, a: EnvAction) -> float:
         """One-step reward of `a` from the current state, without mutation."""
         if self.state is None:
             raise RuntimeError("call reset() before evaluate_action()")
         candidate = self._apply(self.state, a)
-        reward, _, _, _, _ = self._evaluate(candidate)
+        reward, _, _, _ = self._evaluate(candidate)
         return reward

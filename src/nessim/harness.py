@@ -249,7 +249,7 @@ def evaluate_policy(policy, scn: Scenario, episodes: int, rng: np.random.Generat
     rewards = []
     served = []
     for _ in range(episodes):
-        state = env.reset()
+        env.reset()
         tail_rewards = []
         tail_served = []
         for _ in range(scn.horizon):
@@ -307,7 +307,7 @@ def run_sweep(spec: SweepSpec, cfg: ExperimentConfig, rng: np.random.Generator) 
     rows = []
     for i, value in enumerate(spec.grid):
         if spec.kind == "mu_count":
-            point_cfg = dataclasses.replace(cfg, mu_count=int(value), pi_thresh=cfg.pi_thresh)
+            point_cfg = dataclasses.replace(cfg, mu_count=int(value))
         else:
             lo, hi = distance_band(value)
             point_cfg = dataclasses.replace(cfg, d_min=lo, d_max=hi)

@@ -76,8 +76,8 @@ class Assignment:
     gamma_mask: np.ndarray      # (U,) rate gate
     pi_mask: np.ndarray         # (U,) served = vartheta and gamma
     rates: np.ndarray           # (U,) fading-averaged rate, bits/s/Hz; 0 when unattached
-    tilts_deg: np.ndarray       # (K, 3) applied tilts
-    powers_dbm: np.ndarray      # (K, 3) applied powers
+    tilts_deg: np.ndarray       # (K, 3) applied tilts of the K active GBSs
+    powers_dbm: np.ndarray      # (K, 3) applied powers of the K active GBSs
 
     def served_count(self) -> int:
         return int(np.count_nonzero(self.pi_mask))
@@ -129,6 +129,10 @@ class RadioGeometry:
     position-only constraints check: nearest-GBS distance and rate threshold.
     MUs are given as arrays, one entry per MU, indexed 0..U-1 and standing at
     `MU_HEIGHT_M`; the thresholds may be scalars shared by all of them.
+
+    An off GBS radiates nothing, so the link arrays (`d3d`, `theta_elev`,
+    `az_gain_db`, `pathloss`) and `gbs_ids`/`n_gbs` cover the active GBSs
+    only, in `gbss` order. Off GBSs enter only the nearest-GBS distance.
     """
 
     def __init__(
@@ -147,13 +151,13 @@ class RadioGeometry:
         self.ap = ap
         ux = np.asarray(mu_x, dtype=float)
         uy = np.asarray(mu_y, dtype=float)
-        self.n_gbs = len(gbss)
         self.n_mu = len(ux)
         self.mu_x, self.mu_y = ux, uy
         self.rate_thresholds = np.broadcast_to(np.asarray(rate_thresholds, dtype=float), ux.shape)
         self.rsrp_thresholds = np.broadcast_to(np.asarray(rsrp_thresholds, dtype=float), ux.shape)
-        self.gbs_ids = np.array([g.id for g in gbss], dtype=np.int64)
-        self.active = np.array([g.active for g in gbss], dtype=bool)
+        active = np.array([g.active for g in gbss], dtype=bool)
+        self.gbs_ids = np.array([g.id for g in gbss], dtype=np.int64)[active]
+        self.n_gbs = len(self.gbs_ids)
 
         gx = np.array([g.position.x for g in gbss])
         gy = np.array([g.position.y for g in gbss])
@@ -162,6 +166,16 @@ class RadioGeometry:
         dy = uy[:, None] - gy[None, :]
         # A full (U, K) array like d2d: numpy may run another SIMD loop on a broadcast one.
         dz = gh[None, :] - np.full((self.n_mu, 1), MU_HEIGHT_M)
+
+        # Users are dropped around off GBSs too, so the nearest GBS is taken
+        # over all of them. radio.distance_3d's arithmetic, not d3d's hypot,
+        # so the distance band check agrees with it bit for bit at the band
+        # edges; libm pow (float_power) squares dz as Python's ** does.
+        self.nearest_d3d = np.sqrt(np.float_power(dz, 2) + dx * dx + dy * dy).min(axis=1)
+        self.nearest_range = _value_range(self.nearest_d3d)
+        self.rate_threshold_range = _value_range(self.rate_thresholds)
+
+        dx, dy, dz = dx[:, active], dy[:, active], dz[:, active]
         d2d = np.hypot(dx, dy)
         self.d3d = np.sqrt(d2d**2 + dz**2)                      # (U, K)
         self.theta_elev = np.degrees(np.arctan2(dz, d2d))       # (U, K)
@@ -170,24 +184,18 @@ class RadioGeometry:
         self.az_gain_db = azimuth_gain_db(psi, ap)              # (U, K, 3)
         self.pathloss = self.d3d ** (-ch.alpha)                 # (U, K)
 
-        # radio.distance_3d's arithmetic, not d3d's hypot, so the distance
-        # band check agrees with it bit for bit at the band edges; libm pow
-        # (float_power) squares dz as Python's ** does.
-        self.nearest_d3d = np.sqrt(np.float_power(dz, 2) + dx * dx + dy * dy).min(axis=1)
-        self.nearest_range = _value_range(self.nearest_d3d)
-        self.rate_threshold_range = _value_range(self.rate_thresholds)
-
     def mean_rx_power(self, tilts_deg: np.ndarray, powers_dbm: np.ndarray) -> np.ndarray:
-        """Fading-free received power, shape (U, K, 3); zero for off GBSs."""
+        """Fading-free received power, shape (U, K, 3), for (K, 3) tilts and
+        powers of the K active GBSs."""
+        if tilts_deg.shape != (self.n_gbs, 3) or powers_dbm.shape != (self.n_gbs, 3):
+            raise ValueError(f"tilts and powers must have shape ({self.n_gbs}, 3)")
         el_gain_db = elevation_gain_db(self.theta_elev[:, :, None], tilts_deg[None, :, :], self.ap)
-        rx = (
+        return (
             dbm_to_watts(powers_dbm)[None, :, :]
             * self.pathloss[:, :, None]
             * db_to_linear(self.az_gain_db + el_gain_db)
             * self.ch.rx_gain
         )
-        rx[:, ~self.active, :] = 0.0
-        return rx
 
 
 def associate_cached(geom: RadioGeometry, tilts_deg, powers_dbm, cfg: ConstraintConfig) -> Assignment:
@@ -195,7 +203,7 @@ def associate_cached(geom: RadioGeometry, tilts_deg, powers_dbm, cfg: Constraint
     tilts = np.asarray(tilts_deg, float)
     powers = np.asarray(powers_dbm, float)
     n = geom.n_mu
-    if n == 0 or not geom.active.any():
+    if n == 0 or geom.n_gbs == 0:
         off = np.zeros(n, dtype=bool)
         return Assignment(
             np.full(n, -1), np.full(n, -1), off, off.copy(), off.copy(), np.zeros(n), tilts, powers,
@@ -215,9 +223,7 @@ def associate_cached(geom: RadioGeometry, tilts_deg, powers_dbm, cfg: Constraint
     attached = np.ones(n, dtype=bool)
     for k in range(geom.n_gbs):
         members = np.flatnonzero(cand_gbs == k)
-        if not geom.active[k]:
-            attached[members] = False  # unreachable: off GBS rx is 0
-        elif len(members) > cfg.pi_k_max:
+        if len(members) > cfg.pi_k_max:
             order = np.argsort(-cand_rx[members], kind="stable")
             attached[members[order[cfg.pi_k_max:]]] = False
 
@@ -249,15 +255,17 @@ def objective_value(a: Assignment) -> float:
 
 def check_constraints(a: Assignment, geom: RadioGeometry, cfg: ConstraintConfig) -> ConstraintReport:
     """Constraints (c)-(i) for an assignment over `geom`'s MUs; power and tilt
-    are checked on the sector state the assignment was computed for."""
+    are checked on the active GBSs' sector state the assignment was computed for."""
     d_lo, d_hi = geom.nearest_range
     r_lo, r_hi = geom.rate_threshold_range
+    p_lo, p_hi = _value_range(a.powers_dbm)
+    t_lo, t_hi = _value_range(a.tilts_deg)
     return ConstraintReport(
         served_count_ok=a.served_count() >= cfg.pi_thresh,
         capacity_ok=all(c <= cfg.pi_k_max for c in a.served_per_gbs().values()),
         rates_ok=not np.any(a.pi_mask & (a.rates < geom.rate_thresholds)),
         rate_band_ok=cfg.rate_min <= r_lo and r_hi <= cfg.rate_max,
-        power_ok=bool(cfg.p_min_dbm <= a.powers_dbm.min() and a.powers_dbm.max() <= cfg.p_max_dbm),
+        power_ok=cfg.p_min_dbm <= p_lo and p_hi <= cfg.p_max_dbm,
         distance_ok=cfg.d_min <= d_lo and d_hi <= cfg.d_max,
-        tilt_ok=bool(TILT_MIN_DEG <= a.tilts_deg.min() and a.tilts_deg.max() <= TILT_MAX_DEG),
+        tilt_ok=TILT_MIN_DEG <= t_lo and t_hi <= TILT_MAX_DEG,
     )

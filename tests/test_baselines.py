@@ -13,7 +13,7 @@ class TestMaxPolicy:
     def test_all_deltas_maximal(self):
         for s in (1, 2, 3):
             deltas = decode_action(max_policy(s), s)
-            assert deltas == [(1.0, 5.0)] * s
+            assert deltas.tolist() == [[1.0, 5.0]] * s
 
     def test_constant(self):
         assert max_policy(3) == max_policy(3)

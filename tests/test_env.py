@@ -38,13 +38,13 @@ IDENTITY_DIGIT = 4  # (0 tilt, 0 dB) per sector
 
 class TestActionCoding:
     def test_identity_action(self):
-        assert decode_action(EnvAction(4), 1) == [(0.0, 0.0)]
+        assert decode_action(EnvAction(4), 1).tolist() == [[0.0, 0.0]]
 
     def test_first_action(self):
-        assert decode_action(EnvAction(0), 1) == [(-1.0, -5.0)]
+        assert decode_action(EnvAction(0), 1).tolist() == [[-1.0, -5.0]]
 
     def test_last_action_two_sectors(self):
-        assert decode_action(EnvAction(80), 2) == [(1.0, 5.0), (1.0, 5.0)]
+        assert decode_action(EnvAction(80), 2).tolist() == [[1.0, 5.0], [1.0, 5.0]]
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
@@ -57,13 +57,13 @@ class TestActionCoding:
         # Each sector's base-9 digit is read back from its (tilt, power) delta,
         # so decode_action is injective.
         idx = data.draw(st.integers(0, action_space_size(s_count) - 1))
-        deltas = decode_action(EnvAction(idx), s_count)
+        deltas = decode_action(EnvAction(idx), s_count).tolist()
         digits = [int((dt + 1) * 3 + (dp / 5.0 + 1)) for dt, dp in deltas]
         assert sum(d * 9**i for i, d in enumerate(digits)) == idx
 
     def test_exhaustive_bijection_s2(self):
         # Injective on all 81 actions of two sectors, each delta in the grid.
-        decoded = {tuple(decode_action(EnvAction(i), 2)) for i in range(81)}
+        decoded = {tuple(map(tuple, decode_action(EnvAction(i), 2).tolist())) for i in range(81)}
         assert len(decoded) == 81
         grid = {(dt, dp) for dt in (-1.0, 0.0, 1.0) for dp in (-5.0, 0.0, 5.0)}
         assert all(set(deltas) <= grid for deltas in decoded)

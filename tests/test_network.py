@@ -38,8 +38,9 @@ def make_geometry(gbss, x, y=0.0, rate_th=0.5, rsrp_th_dbm=-100.0, ch=CH, ap=AP)
 
 
 def sector_settings(gbss, tilt=0.0, power=30.0):
-    """(K, 3) tilts and powers: every sector at one setting."""
-    return np.full((len(gbss), 3), tilt), np.full((len(gbss), 3), power)
+    """(K, 3) tilts and powers of the K active GBSs: every sector at one setting."""
+    k = sum(g.active for g in gbss)
+    return np.full((k, 3), tilt), np.full((k, 3), power)
 
 
 def rx_power(gbss, x, ch=CH, ap=AP):
@@ -117,6 +118,28 @@ class TestGeometry:
             ]
             assert geom.nearest_d3d.tolist() == expected
             assert geom.nearest_range == (min(expected), max(expected))
+
+    def test_off_gbs_only_in_nearest_distance(self):
+        # The MU stands by the off GBS 0, so that one is its nearest, but its
+        # links and its serving GBS are the active GBS 5's.
+        gbss = [make_gbs(0, active=False), make_gbs(5, x=300.0)]
+        geom = make_geometry(gbss, [40.0])
+        assert geom.n_gbs == 1 and geom.gbs_ids.tolist() == [5]
+        assert geom.d3d.shape == (1, 1) and geom.az_gain_db.shape == (1, 1, 3)
+        assert geom.nearest_d3d[0] == distance_3d(gbss[0].position, 10.0, Position(40.0, 0.0),
+                                                  MU_HEIGHT_M)
+        a = associate_cached(geom, *sector_settings(gbss, power=45.0), make_cfg())
+        assert a.serving_gbs.tolist() == [5]
+
+    @pytest.mark.parametrize("off, rows", [(False, 1), (True, 2)])
+    def test_sector_settings_must_cover_active_gbss(self, off, rows):
+        # One row per active GBS: any other row count would broadcast.
+        geom = make_geometry([make_gbs(0), make_gbs(1, x=300.0, active=not off)], [40.0, 260.0])
+        tilts, powers = np.zeros((rows, 3)), np.full((rows, 3), 30.0)
+        with pytest.raises(ValueError):
+            geom.mean_rx_power(tilts, powers)
+        with pytest.raises(ValueError):
+            associate_cached(geom, tilts, powers, make_cfg())
 
 
 class TestAssociate:

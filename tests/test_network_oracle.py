@@ -264,10 +264,15 @@ def test_array_path_matches_per_user_reference(case):
     gbss, mus, tilts, powers, cfg, ch, ap = case
     geom = geometry_of(gbss, mus, ch, ap)
     ref_geom = ReferenceGeometry(gbss, mus, ch, ap)
-    if mus and geom.active.any():
-        assert np.array_equal(geom.mean_rx_power(tilts, powers), ref_geom.mean_rx_power(tilts, powers))
+    # The array path takes sector settings for the active GBSs only; the
+    # reference takes them for every GBS and zeroes the off ones' power.
+    active = ref_geom.active
+    if mus and geom.n_gbs:
+        ref_rx = ref_geom.mean_rx_power(tilts, powers)
+        assert np.array_equal(geom.mean_rx_power(tilts[active], powers[active]), ref_rx[:, active])
+        assert not ref_rx[:, ~active].any()
 
-    a = associate_cached(geom, tilts, powers, cfg)
+    a = associate_cached(geom, tilts[active], powers[active], cfg)
     ref = reference_associate(ref_geom, tilts, powers, cfg)
     links = zip(a.serving_gbs.tolist(), a.serving_sector.tolist())
     assert {u: (k, s) if k >= 0 else None for u, (k, s) in enumerate(links)} == ref.serving
@@ -280,5 +285,5 @@ def test_array_path_matches_per_user_reference(case):
     # repr tells 0 from 0.0 and shows every bit of a float.
     assert repr(objective_value(a)) == repr(reference_objective(ref))
     assert check_constraints(a, geom, cfg) == reference_check_constraints(
-        ref, gbss, mus, tilts, powers, cfg
+        ref, gbss, mus, tilts[active], powers[active], cfg
     )
