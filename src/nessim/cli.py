@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -22,20 +23,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pathloss-mode", choices=["literal", "single"], dest="pathloss_mode")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nessim", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("train", "train a DQN and write training.csv + checkpoint.bin"),
-        ("eval", "evaluate dqn/random/max policies on the configured scenario"),
-        ("sweep-mus", "sweep the MU count grid and write sweep.csv"),
-        ("sweep-distance", "sweep the distance band grid and write sweep.csv"),
-        ("oracle-check", "compare greedy DQN against the exhaustive one-step optimum"),
-    ]:
-        _add_common(sub.add_parser(name, help=help_text))
-    return parser
-
-
 def _load(args) -> harness.ExperimentConfig:
     overrides = {
         "seed": args.seed,
@@ -49,9 +36,7 @@ def _load(args) -> harness.ExperimentConfig:
 
 
 def cmd_train(cfg: harness.ExperimentConfig) -> int:
-    scn = harness.generate_scenario(cfg, np.random.default_rng(cfg.seed))
-    env = NesEnv(scn, np.random.default_rng(cfg.seed))
-    net, log = dqn.train(env, cfg.agent(), cfg.iterations, np.random.default_rng(cfg.seed))
+    _, net, log = harness.train_agent(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     harness.write_training_csv(log, os.path.join(cfg.out_dir, "training.csv"))
     dqn.save_checkpoint(net, os.path.join(cfg.out_dir, "checkpoint.bin"))
@@ -66,15 +51,10 @@ def cmd_train(cfg: harness.ExperimentConfig) -> int:
 def cmd_eval(cfg: harness.ExperimentConfig) -> int:
     scn = harness.generate_scenario(cfg, np.random.default_rng(cfg.seed))
     checkpoint = os.path.join(cfg.out_dir, "checkpoint.bin")
-    summaries = []
-    policies = {"random": harness.make_random_policy(), "max": harness.make_max_policy()}
-    if os.path.exists(checkpoint):
-        policies = {"dqn": harness.make_greedy_policy(dqn.load_checkpoint(checkpoint)), **policies}
-    for name, policy in policies.items():
-        s = harness.evaluate_policy(policy, scn, cfg.eval_episodes, np.random.default_rng(cfg.seed + 1))
-        s.policy = name
-        summaries.append(s)
-        print(f"{name}: mean reward {s.mean_reward:.4g}, per MU {s.reward_per_mu:.4g}, "
+    net = dqn.load_checkpoint(checkpoint) if os.path.exists(checkpoint) else None
+    summaries = harness.evaluate_policies(scn, net, cfg)
+    for s in summaries:
+        print(f"{s.policy}: mean reward {s.mean_reward:.4g}, per MU {s.reward_per_mu:.4g}, "
               f"served fraction {s.served_fraction:.3f}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     harness.write_eval_csv(summaries, os.path.join(cfg.out_dir, "eval.csv"))
@@ -95,10 +75,8 @@ def _cmd_sweep(cfg: harness.ExperimentConfig, kind: str) -> int:
 
 
 def cmd_oracle_check(cfg: harness.ExperimentConfig) -> int:
-    scn = harness.generate_scenario(cfg, np.random.default_rng(cfg.seed))
+    scn, net, _ = harness.train_agent(cfg)
     env = NesEnv(scn, np.random.default_rng(cfg.seed))
-    train_env = NesEnv(scn, np.random.default_rng(cfg.seed))
-    net, _ = dqn.train(train_env, cfg.agent(), cfg.iterations, np.random.default_rng(cfg.seed))
     env.reset()
     best_action, best_reward = harness.brute_force_best(env)
     greedy = int(np.argmax(dqn.forward(net, encode_features(env.state, scn))))
@@ -110,6 +88,25 @@ def cmd_oracle_check(cfg: harness.ExperimentConfig) -> int:
     return 0
 
 
+COMMANDS = {
+    "train": ("train a DQN and write training.csv + checkpoint.bin", cmd_train),
+    "eval": ("evaluate dqn/random/max policies on the configured scenario", cmd_eval),
+    "sweep-mus": ("sweep the MU count grid and write sweep.csv",
+                  functools.partial(_cmd_sweep, kind="mu_count")),
+    "sweep-distance": ("sweep the distance band grid and write sweep.csv",
+                       functools.partial(_cmd_sweep, kind="distance_band")),
+    "oracle-check": ("compare greedy DQN against the exhaustive one-step optimum", cmd_oracle_check),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="nessim", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in COMMANDS.items():
+        _add_common(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -118,17 +115,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "sweep-mus":
-            return _cmd_sweep(cfg, "mu_count")
-        if args.command == "sweep-distance":
-            return _cmd_sweep(cfg, "distance_band")
-        if args.command == "oracle-check":
-            return cmd_oracle_check(cfg)
-        return 2
+        return COMMANDS[args.command][1](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -25,10 +25,6 @@ class ConfigError(ValueError):
     pass
 
 
-class IoError(OSError):
-    pass
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     # Topology and scenario
@@ -51,7 +47,6 @@ class ExperimentConfig:
     alpha: float = 3.0
     sigma2_dbm: float = -104.0
     phi_ric: float = 0.1
-    rician_k: float = 3.0
     rx_gain_dbi: float = 0.0
     pathloss_mode: str = "literal"
     # Antenna
@@ -86,7 +81,6 @@ class ExperimentConfig:
             alpha=self.alpha,
             sigma2=dbm_to_watts(self.sigma2_dbm),
             phi_ric=self.phi_ric,
-            rician_k=self.rician_k,
             rx_gain=float(db_to_linear(self.rx_gain_dbi)),
             pathloss_mode=self.pathloss_mode,
         )
@@ -276,6 +270,29 @@ def brute_force_best(env: NesEnv) -> tuple[int, float]:
     return best_a, best_r
 
 
+def train_agent(cfg: ExperimentConfig) -> tuple[Scenario, dqn.Mlp, MetricsLog]:
+    """Draw the scenario and train the DQN on it, both from `cfg.seed`."""
+    scn = generate_scenario(cfg, np.random.default_rng(cfg.seed))
+    env = NesEnv(scn, np.random.default_rng(cfg.seed))
+    net, log = dqn.train(env, cfg.agent(), cfg.iterations, np.random.default_rng(cfg.seed))
+    return scn, net, log
+
+
+def evaluate_policies(scn: Scenario, net: dqn.Mlp | None, cfg: ExperimentConfig) -> list[EvalSummary]:
+    """Evaluate the greedy DQN (when a net is given), random and max policies,
+    each on its own generator seeded `cfg.seed + 1`."""
+    roster = {"random": make_random_policy(), "max": make_max_policy()}
+    if net is not None:
+        roster = {"dqn": make_greedy_policy(net), **roster}
+    return [
+        dataclasses.replace(
+            evaluate_policy(policy, scn, cfg.eval_episodes, np.random.default_rng(cfg.seed + 1)),
+            policy=name,
+        )
+        for name, policy in roster.items()
+    ]
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     kind: str                      # 'mu_count' or 'distance_band'
@@ -307,28 +324,16 @@ def run_sweep(spec: SweepSpec, cfg: ExperimentConfig, rng: np.random.Generator) 
     rows = []
     for i, value in enumerate(spec.grid):
         if spec.kind == "mu_count":
-            point_cfg = dataclasses.replace(cfg, mu_count=int(value))
+            point = {"mu_count": int(value)}
         else:
             lo, hi = distance_band(value)
-            point_cfg = dataclasses.replace(cfg, d_min=lo, d_max=hi)
-        point_seed = cfg.seed + i
-        scn = generate_scenario(point_cfg, np.random.default_rng(point_seed))
-
-        env = NesEnv(scn, np.random.default_rng(point_seed))
-        net, _ = dqn.train(env, point_cfg.agent(), point_cfg.iterations, np.random.default_rng(point_seed))
-        policies = {
-            "dqn": make_greedy_policy(net),
-            "random": make_random_policy(),
-            "max": make_max_policy(),
-        }
-        for name, policy in policies.items():
-            summary = evaluate_policy(
-                policy, scn, point_cfg.eval_episodes, np.random.default_rng(point_seed + 1)
-            )
-            rows.append(
-                SweepRow(spec.kind, float(value), name, summary.mean_reward,
-                         summary.reward_per_mu, summary.served_fraction)
-            )
+            point = {"d_min": lo, "d_max": hi}
+        point_cfg = dataclasses.replace(cfg, seed=cfg.seed + i, **point)
+        scn, net, _ = train_agent(point_cfg)
+        rows.extend(
+            SweepRow(spec.kind, float(value), s.policy, s.mean_reward, s.reward_per_mu, s.served_fraction)
+            for s in evaluate_policies(scn, net, point_cfg)
+        )
     return rows
 
 
@@ -373,11 +378,8 @@ def write_eval_csv(summaries: list[EvalSummary], path) -> None:
 
 
 def _write_text(path, text: str) -> None:
-    try:
-        with open(path, "w", newline="\n") as f:
-            f.write(text)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    with open(path, "w", newline="\n") as f:
+        f.write(text)
 
 
 def _svg_polyline(points: list[tuple[float, float]], color: str) -> str:

@@ -37,7 +37,6 @@ class ChannelParams:
     alpha: float = 3.0                    # path-loss exponent
     sigma2: float = dbm_to_watts(-104.0)  # noise power, watts
     phi_ric: float = 0.1                  # residual-interference coefficient
-    rician_k: float = 3.0                 # Rician K-factor, linear
     rx_gain: float = 1.0                  # receive antenna gain, linear
     pathloss_mode: str = "literal"        # 'literal' or 'single'
 
@@ -48,8 +47,6 @@ class ChannelParams:
             raise ValueError("sigma2 must be > 0")
         if not 0.0 <= self.phi_ric <= 1.0:
             raise ValueError("phi_ric must be in [0, 1]")
-        if self.rician_k < 0:
-            raise ValueError("rician_k must be >= 0")
         if self.rx_gain <= 0:
             raise ValueError("rx_gain must be > 0")
         if self.pathloss_mode not in ("literal", "single"):
@@ -87,10 +84,7 @@ class AngleGeometry:
 def wrap_deg(angle_deg):
     """Wrap an angle into (-180, 180]."""
     a = np.asarray(angle_deg, dtype=float)
-    wrapped = -np.remainder(-a + 180.0, 360.0) + 180.0
-    if np.ndim(angle_deg) == 0:
-        return float(wrapped)
-    return wrapped
+    return -np.remainder(-a + 180.0, 360.0) + 180.0
 
 
 def distance_3d(gbs_pos: Position, h_k: float, mu_pos: Position, h_u: float) -> float:
@@ -102,15 +96,13 @@ def distance_3d(gbs_pos: Position, h_k: float, mu_pos: Position, h_u: float) -> 
 def azimuth_gain_db(psi_azim_deg, p: AntennaParams):
     psi = np.asarray(psi_azim_deg, dtype=float)
     att = np.minimum(12.0 * (psi / p.psi_3db_deg) ** 2, p.front_back_f_db)
-    out = p.g_max_dbi - att
-    return float(out) if np.ndim(psi_azim_deg) == 0 else out
+    return p.g_max_dbi - att
 
 
 def elevation_gain_db(theta_elev_deg, tilt_deg, p: AntennaParams):
     off = np.asarray(theta_elev_deg, dtype=float) - np.asarray(tilt_deg, dtype=float)
     att = np.minimum(12.0 * (off / p.theta_3db_deg) ** 2, p.elev_floor_db)
-    out = p.elev_peak_dbi - att
-    return float(out) if np.ndim(off) == 0 else out
+    return p.elev_peak_dbi - att
 
 
 def combined_gain_db(g: AngleGeometry, tilt_deg: float, p: AntennaParams) -> float:
@@ -151,5 +143,4 @@ def approx_rate(p_hat, denom_nu, d3d, ch: ChannelParams):
     denom = np.asarray(denom_nu, dtype=float)
     if ch.pathloss_mode == "literal":
         denom = np.asarray(d3d, dtype=float) ** ch.alpha * denom
-    out = np.log2(1.0 + math.exp(-EULER_GAMMA) * np.asarray(p_hat, dtype=float) / denom)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.log2(1.0 + math.exp(-EULER_GAMMA) * np.asarray(p_hat, dtype=float) / denom)

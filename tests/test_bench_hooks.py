@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nessim import dqn, harness
+from nessim import harness
 from nessim.env import EnvAction, NesEnv
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -69,14 +69,14 @@ def test_dqn_spans_record_a_training_run(tracer_module):
     tracer_module.install(tracer)
     cfg = harness.ExperimentConfig(
         k_gbs=1, off_ids=(), mu_count=5, horizon=3, warmup=8, batch_size=4, hidden_sizes=(8,),
+        iterations=12,
     )
-    env = NesEnv(harness.generate_scenario(cfg, np.random.default_rng(0)), np.random.default_rng(0))
-    iterations = 12
-    dqn.train(env, cfg.agent(), iterations, np.random.default_rng(0))
-    train_steps = iterations - cfg.warmup + 1
+    harness.train_agent(cfg)
+    train_steps = cfg.iterations - cfg.warmup + 1
+    assert len(tracer.durations["harness.generate_scenario"]) == 1
     assert len(tracer.durations["dqn.train"]) == 1
     assert len(tracer.durations["dqn.train_step"]) == train_steps
     assert len(tracer.durations["dqn.adam_update"]) == train_steps
     # One forward pass per iteration to act, plus target and online per train step.
-    assert len(tracer.durations["dqn.forward_batch"]) == iterations + 2 * train_steps
+    assert len(tracer.durations["dqn.forward_batch"]) == cfg.iterations + 2 * train_steps
     assert tracer.counters["train_step_macs"] > 0

@@ -7,18 +7,21 @@ import numpy as np
 import pytest
 
 from nessim import dqn, harness
-from nessim.env import NesEnv
+from nessim.env import EnvAction, NesEnv, encode_features
 from nessim.harness import (
     ConfigError,
     ExperimentConfig,
     SweepSpec,
     distance_band,
+    evaluate_policies,
     evaluate_policy,
     generate_scenario,
     load_config,
+    make_greedy_policy,
     make_max_policy,
     make_random_policy,
     run_sweep,
+    train_agent,
     write_sweep_csv,
     write_training_csv,
     write_training_svg,
@@ -117,18 +120,30 @@ class TestEvaluatePolicy:
         assert s.reward_per_mu == pytest.approx(s.mean_reward / scn.mu_count)
 
 
+class TestEvaluatePolicies:
+    def test_roster_and_numbers(self):
+        cfg = tiny_cfg(seed=4)
+        scn, net, _ = train_agent(cfg)
+        makers = {"dqn": lambda: make_greedy_policy(net),
+                  "random": make_random_policy, "max": make_max_policy}
+        for given, names in ((None, ["random", "max"]), (net, ["dqn", "random", "max"])):
+            summaries = evaluate_policies(scn, given, cfg)
+            assert [s.policy for s in summaries] == names
+            for s in summaries:
+                ref = evaluate_policy(makers[s.policy](), scn, cfg.eval_episodes,
+                                      np.random.default_rng(cfg.seed + 1))
+                assert (s.mean_reward, s.reward_per_mu, s.served_fraction) == (
+                    ref.mean_reward, ref.reward_per_mu, ref.served_fraction)
+
+
 class TestBruteForceOracle:
     def test_greedy_bounded_by_exhaustive(self):
         cfg = tiny_cfg(mu_count=3, horizon=1, resample_on_reset=False, iterations=300)
-        scn = generate_scenario(cfg, np.random.default_rng(0))
-        train_env = NesEnv(scn, np.random.default_rng(0))
-        net, _ = dqn.train(train_env, cfg.agent(), cfg.iterations, np.random.default_rng(0))
+        scn, net, _ = train_agent(cfg)
 
         env = NesEnv(scn, np.random.default_rng(0))
         env.reset()
         _, best = harness.brute_force_best(env)
-        from nessim.env import EnvAction, encode_features
-
         greedy = int(np.argmax(dqn.forward(net, encode_features(env.state, scn))))
         assert env.evaluate_action(EnvAction(greedy)) <= best + 1e-12
 
@@ -240,6 +255,7 @@ class TestCli:
             {"distance_grid": [50, 10]},
             {"mu_grid": [-3]},
             {"mu_grid": 5},
+            {"rician_k": 3.0, "iterations": 0},  # not a field: the rate is the K = 0 form
             {"k_gbs": 2, "off_ids": [], "hidden_sizes": [4096, 4096]},  # > 100 GiB of DQN
         ):
             bad.write_text(json.dumps(values))
@@ -253,6 +269,13 @@ class TestCli:
         bad.write_text(json.dumps({"zzz": 1}))
         r = self.run_cli("train", "--config", str(bad))
         assert r.returncode == 2
+
+    def test_unwritable_output_exit_code(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "training.csv").mkdir(parents=True)
+        r = self.run_cli("train", "--config", self.cfg_file(tmp_path), "--out", str(out))
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("runtime error"), r.stderr
 
     def test_eval_after_train(self, tmp_path):
         out = tmp_path / "out"
@@ -295,10 +318,7 @@ class TestEndToEndDeterminism:
         cfg = tiny_cfg(iterations=80)
 
         def run(out_dir):
-            scn = generate_scenario(cfg, np.random.default_rng(cfg.seed))
-            env = NesEnv(scn, np.random.default_rng(cfg.seed))
-            net, log = dqn.train(env, cfg.agent(), cfg.iterations,
-                                 np.random.default_rng(cfg.seed))
+            _, net, log = train_agent(cfg)
             os.makedirs(out_dir, exist_ok=True)
             write_training_csv(log, os.path.join(out_dir, "training.csv"))
             dqn.save_checkpoint(net, os.path.join(out_dir, "checkpoint.bin"))

@@ -27,7 +27,7 @@ AP = AntennaParams()
 
 
 def make_channel(**kw):
-    defaults = dict(alpha=3.0, sigma2=1e-13, phi_ric=0.1, rician_k=0.0, rx_gain=1.0)
+    defaults = dict(alpha=3.0, sigma2=1e-13, phi_ric=0.1, rx_gain=1.0)
     defaults.update(kw)
     return ChannelParams(**defaults)
 
