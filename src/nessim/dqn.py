@@ -124,15 +124,26 @@ class Mlp:
             activations.append(a)
         return (a, activations) if keep_cache else a
 
-    def backward(self, activations: list[np.ndarray], d_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, activations: list[np.ndarray], d_out: np.ndarray, taken: np.ndarray | None = None
+    ) -> np.ndarray:
         """Write d(loss)/d(params) into `grad` and return it, given the
-        `forward_batch(..., keep_cache=True)` activations and d(loss)/d(output)."""
+        `forward_batch(..., keep_cache=True)` activations and d(loss)/d(output).
+
+        With `taken`, row r of `d_out` must be zero outside column `taken[r]`.
+        Each entry of the head's delta `d_out @ W.T` is then one product plus
+        exact zeros, so it is computed as that product, with the same bits."""
         delta = d_out
         for i in range(len(self.weights) - 1, -1, -1):
             np.matmul(activations[i].T, delta, out=self.grad_weights[i])
             np.sum(delta, axis=0, out=self.grad_biases[i])
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (activations[i] > 0.0)
+                if taken is not None and delta is d_out:
+                    rows = np.arange(len(taken))
+                    back = self.weights[i][:, taken].T * d_out[rows, taken][:, None]
+                else:
+                    back = delta @ self.weights[i].T
+                delta = back * (activations[i] > 0.0)
         return self.grad
 
     def copy(self) -> "Mlp":
@@ -150,12 +161,11 @@ def forward(net: Mlp, features: np.ndarray) -> np.ndarray:
     return net.forward_batch(np.asarray(features, dtype=float)[None, :])[0]
 
 
-def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
-    if len(q_values) == 0:
-        raise ValueError("empty q_values")
+def select_action(net: Mlp, features: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
+    """Epsilon-greedy over the net's outputs; only a greedy action runs the net."""
     if rng.random() < epsilon:
-        return int(rng.integers(len(q_values)))
-    return int(np.argmax(q_values))
+        return int(rng.integers(net.sizes[-1]))
+    return int(np.argmax(forward(net, features)))
 
 
 @dataclass
@@ -226,8 +236,11 @@ class AdamState:
         self.v *= self.beta2
         np.multiply(grad, 1.0 - self.beta2, out=step)
         self.v += np.multiply(step, grad, out=step)
-        np.divide(self.m, bc1, out=step)
-        step *= lr
+        if bc1 == 1.0:  # beta1**t under half an ulp of 1 (t >= 356 at 0.9): m / bc1 is m
+            np.multiply(self.m, lr, out=step)
+        else:
+            np.divide(self.m, bc1, out=step)
+            step *= lr
         np.divide(self.v, bc2, out=denom)
         np.sqrt(denom, out=denom)
         denom += self.eps
@@ -270,7 +283,7 @@ def train_step(
     d_out = q
     d_out.fill(0.0)
     d_out[rows, actions] = 2.0 * err / len(idx)
-    adam.update(net, net.backward(acts, d_out), cfg.learning_rate)
+    adam.update(net, net.backward(acts, d_out, actions), cfg.learning_rate)
     return loss
 
 
@@ -301,8 +314,7 @@ def train(
     window_sum = 0.0
     for t in range(total_iterations):
         eps = epsilon_at(cfg, t)
-        q = forward(net, features)
-        action = select_action(q, eps, rng)
+        action = select_action(net, features, eps, rng)
         result = env.step(EnvAction(action))
         next_features = encode_features(result.next_state, scn)
         buffer.push(Experience(features, action, result.reward, next_features, result.done))

@@ -77,6 +77,8 @@ def test_dqn_spans_record_a_training_run(tracer_module):
     assert len(tracer.durations["dqn.train"]) == 1
     assert len(tracer.durations["dqn.train_step"]) == train_steps
     assert len(tracer.durations["dqn.adam_update"]) == train_steps
-    # One forward pass per iteration to act, plus target and online per train step.
-    assert len(tracer.durations["dqn.forward_batch"]) == cfg.iterations + 2 * train_steps
+    # One forward pass per greedy action, plus target and online per train step.
+    assert len(tracer.durations["dqn.select_action"]) == cfg.iterations
+    forwards = len(tracer.durations["dqn.forward"])
+    assert len(tracer.durations["dqn.forward_batch"]) == forwards + 2 * train_steps
     assert tracer.counters["train_step_macs"] > 0

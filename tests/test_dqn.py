@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nessim import dqn, harness
 from nessim.dqn import (
     AdamState,
     AgentConfig,
@@ -14,6 +15,7 @@ from nessim.dqn import (
     InsufficientData,
     Mlp,
     ReplayBuffer,
+    backprop,
     build_network,
     epsilon_at,
     forward,
@@ -25,6 +27,7 @@ from nessim.dqn import (
     train,
     train_step,
 )
+from nessim.env import NesEnv, encode_features
 
 
 def naive_forward(net, x):
@@ -92,28 +95,53 @@ class TestForward:
             forward(net, np.zeros(4))
 
 
+def q_net(q):
+    """A one-layer net that outputs exactly `q` for the input [0]: zero
+    weights, and `q` as its biases."""
+    net = Mlp([1, len(q)])
+    net.biases[0][...] = q
+    return net
+
+
+def act(q, epsilon, rng):
+    return select_action(q_net(q), np.zeros(1), epsilon, rng)
+
+
 class TestSelectAction:
     def test_pure_greedy(self):
-        assert select_action(np.array([1.0, 3.0, 2.0]), 0.0, np.random.default_rng(0)) == 1
+        assert act(np.array([1.0, 3.0, 2.0]), 0.0, np.random.default_rng(0)) == 1
 
     def test_tie_break_lowest(self):
-        assert select_action(np.array([5.0, 5.0]), 0.0, np.random.default_rng(0)) == 0
+        assert act(np.array([5.0, 5.0]), 0.0, np.random.default_rng(0)) == 0
 
     def test_full_exploration_uniform(self):
         rng = np.random.default_rng(1)
-        q = np.array([0.0, 1.0, 2.0, 3.0])
+        net = q_net(np.array([0.0, 1.0, 2.0, 3.0]))
         counts = np.zeros(4)
         n = 100_000
         for _ in range(n):
-            counts[select_action(q, 1.0, rng)] += 1
+            counts[select_action(net, np.zeros(1), 1.0, rng)] += 1
         assert np.all(np.abs(counts / n - 0.25) < 0.02 * 0.25 + 0.005)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(2)
         q = rng.standard_normal(9)
-        a = select_action(q, 0.0, np.random.default_rng(0))
-        b = select_action(q + 100.0, 0.0, np.random.default_rng(0))
+        a = act(q, 0.0, np.random.default_rng(0))
+        b = act(q + 100.0, 0.0, np.random.default_rng(0))
         assert a == b
+
+    def test_exploring_runs_no_q_pass(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dqn, "forward", lambda *args: calls.append(args))
+        net = q_net(np.zeros(7))
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        actions = [select_action(net, np.zeros(1), 1.0, rng) for _ in range(200)]
+        expected = []
+        for _ in range(200):
+            twin.random()
+            expected.append(int(twin.integers(7)))
+        assert calls == []
+        assert actions == expected
 
 
 class TestTdTargets:
@@ -221,8 +249,6 @@ class TestTrainStep:
                 return float(np.mean((taken - t) ** 2))
 
             # Analytic gradients via the same path train_step uses.
-            from nessim.dqn import backprop
-
             q, _ = net.forward_batch(buf.states[idx], keep_cache=True)
             taken = q[np.arange(len(idx)), buf.actions[idx]]
             q_next = target.forward_batch(buf.next_states[idx]).max(axis=1)
@@ -259,6 +285,50 @@ class TestTrainStep:
             losses.append(train_step(net, target, buf, cfg, rng, adam))
         assert losses[-1] < 1e-6
         assert losses[-1] < losses[0]
+
+
+def taken_action_batches(n_out, rng):
+    """Named action batches: repeats, one action for all 32 rows, the last
+    output column taken more than once, and a batch of one."""
+    last_twice = rng.integers(0, n_out, 32)
+    last_twice[[3, 17, 30]] = n_out - 1
+    return {
+        "repeated": rng.integers(0, min(n_out, 5), 32),
+        "all_equal": np.full(32, rng.integers(n_out)),
+        "last_column_repeated": last_twice,
+        "batch_of_one": rng.integers(0, n_out, 1),
+    }
+
+
+class TestTakenActionBackward:
+    """`backward(acts, d_out, taken)` writes the bytes of the dense
+    `backward(acts, d_out)` when each row of `d_out` is zero outside its taken
+    column. This holds on any BLAS: each entry of the dense head delta
+    `d_out @ W.T` is one product plus exact zeros, and adding an exact zero
+    leaves a sum unchanged in any summation order. The one exception is the
+    sign of a zero product, so a row whose error is exactly 0 is compared by
+    value."""
+
+    @pytest.mark.parametrize("sizes", [[6, 128, 128, 729], [3, 5, 4, 7]])
+    @pytest.mark.parametrize("zero_error", [False, True])
+    def test_grad_matches_dense(self, sizes, zero_error):
+        rng = np.random.default_rng(sum(sizes) + zero_error)
+        net = Mlp(sizes)
+        net.params[:] = rng.standard_normal(net.params.size) / np.sqrt(max(sizes[:-1]))
+        for name, taken in taken_action_batches(sizes[-1], rng).items():
+            x = rng.standard_normal((len(taken), sizes[0]))
+            q, acts = net.forward_batch(x, keep_cache=True)
+            err = rng.standard_normal(len(taken))
+            if zero_error:
+                err[0] = 0.0
+            d_out = np.zeros_like(q)
+            d_out[np.arange(len(taken)), taken] = 2.0 * err / len(taken)
+            dense = net.backward(acts, d_out).copy()
+            sparse = net.backward(acts, d_out, taken)
+            if zero_error:
+                assert np.array_equal(sparse, dense), name
+            else:
+                assert sparse.tobytes() == dense.tobytes(), name
 
 
 class ListNet:
@@ -393,6 +463,37 @@ class TestFlatParams:
             net.biases[0] = np.zeros(2)
 
 
+def per_array(net, vec):
+    """Split a vector with the layout of `net.params` into weights-then-biases copies."""
+    view = Mlp(net.sizes)
+    view.params[:] = vec
+    return [a.copy() for a in view.weights + view.biases]
+
+
+class TestAdamCrossover:
+    def test_bias_correction_reaches_one_bit_exactly(self):
+        # From t = 356 on, 1 - 0.9**t rounds to 1.0, and `update` skips m / bc1.
+        assert min(t for t in range(1, 1000) if 1.0 - 0.9**t == 1.0) == 356
+        rng = np.random.default_rng(16)
+        net = Mlp([4, 16, 9], rng)
+        adam = AdamState(net)
+        adam.t = 350
+        adam.m[:] = rng.standard_normal(net.params.size) * 1e-3
+        adam.v[:] = rng.random(net.params.size) * 1e-6
+        ref = ListNet(net)
+        ref_adam = ListAdam(ref)
+        ref_adam.t = adam.t
+        ref_adam.m, ref_adam.v = per_array(net, adam.m), per_array(net, adam.v)
+        for t in range(351, 363):
+            grad = rng.standard_normal(net.params.size)
+            adam.update(net, grad, 0.001)
+            ref_adam.update(ref, per_array(net, grad), 0.001)
+            assert adam.t == t
+            assert net.params.tobytes() == checkpoint_order(ref.weights + ref.biases).tobytes(), t
+            assert adam.m.tobytes() == checkpoint_order(ref_adam.m).tobytes(), t
+            assert adam.v.tobytes() == checkpoint_order(ref_adam.v).tobytes(), t
+
+
 class TestAdamAllocation:
     def test_update_allocates_no_parameter_sized_vector(self):
         net = Mlp([6, 128, 128, 729], np.random.default_rng(14))
@@ -439,9 +540,6 @@ class TestSyncTarget:
 
 class TestTrainLoop:
     def small_env(self, seed=0):
-        from nessim import harness
-        from nessim.env import NesEnv
-
         cfg = harness.ExperimentConfig(
             k_gbs=1, off_ids=(), mu_count=4, pi_thresh=1, horizon=10,
             eps_decay_steps=50, warmup=16, batch_size=8,
@@ -469,8 +567,6 @@ class TestTrainLoop:
     def test_q_values_stay_finite(self):
         env, cfg = self.small_env(1)
         net, log = train(env, cfg, 200, np.random.default_rng(1))
-        from nessim.env import encode_features
-
         f = encode_features(env.state, env.scn)
         assert np.all(np.isfinite(forward(net, f)))
 
