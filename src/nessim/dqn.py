@@ -4,6 +4,7 @@ gradients, adaptive-moment updates, FIFO replay, epsilon-greedy control."""
 from __future__ import annotations
 
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,7 +212,38 @@ def td_targets(
     return rewards + zeta * (~dones) * q_next
 
 
+def _adam_pass(m, v, grad, params, step, denom, beta1, beta2, eps, lr, bc1, bc2) -> None:
+    """Adam's element-wise update of one slice of the flat vectors, in place,
+    with the rounding of the textbook expressions m = b1*m + (1-b1)*g,
+    v = b2*v + ((1-b2)*g)*g and params -= lr*(m/bc1) / (sqrt(v/bc2) + eps):
+    the operations run in that order, and none is folded into another (no
+    lr/bc1). `step` and `denom` are scratch."""
+    m *= beta1
+    m += np.multiply(grad, 1.0 - beta1, out=step)
+    v *= beta2
+    np.multiply(grad, 1.0 - beta2, out=step)
+    v += np.multiply(step, grad, out=step)
+    if bc1 == 1.0:  # beta1**t under half an ulp of 1 (t >= 356 at 0.9): m / bc1 is m
+        np.multiply(m, lr, out=step)
+    else:
+        np.divide(m, bc1, out=step)
+        step *= lr
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    params -= step
+
+
 class AdamState:
+    """Adam over a net's flat parameter vector.
+
+    Every operation is per element, so `update` runs `_adam_pass` on two
+    contiguous halves at once, one on the caller's thread and one on a worker
+    thread, and the result has the same bits as one pass over the whole
+    vector. The worker starts on the first update; `close`, or leaving a
+    `with` block, ends it."""
+
     def __init__(self, net: Mlp, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
@@ -219,33 +251,40 @@ class AdamState:
         self.v = np.zeros_like(net.params)
         self._step = np.empty_like(net.params)  # scratch, so an update allocates no vector
         self._denom = np.empty_like(net.params)
+        # A multiple of 8 elements: on 64-byte-aligned vectors the halves share
+        # no cache line. A shared line would cost time, never bits.
+        self._cut = (net.params.size // 2 + 4) // 8 * 8
+        self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adam")
 
     def update(self, net: Mlp, grad: np.ndarray, lr: float) -> None:
         """One step over the whole flat parameter vector; `grad` has its layout.
-
-        In place, with the rounding of the textbook expressions
-        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
-        params -= lr*(m/bc1) / (sqrt(v/bc2) + eps): the operations run in that
-        order, and none is folded into another (no lr/bc1)."""
+        A gradient or net of another shape raises before anything changes."""
+        if grad.shape != self.m.shape or net.params.shape != self.m.shape:
+            raise DimensionMismatch(
+                f"Adam has {self.m.size} parameters; got grad {grad.shape}, "
+                f"params {net.params.shape}"
+            )
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        step, denom = self._step, self._denom
-        self.m *= self.beta1
-        self.m += np.multiply(grad, 1.0 - self.beta1, out=step)
-        self.v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=step)
-        self.v += np.multiply(step, grad, out=step)
-        if bc1 == 1.0:  # beta1**t under half an ulp of 1 (t >= 356 at 0.9): m / bc1 is m
-            np.multiply(self.m, lr, out=step)
-        else:
-            np.divide(self.m, bc1, out=step)
-            step *= lr
-        np.divide(self.v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        step /= denom
-        net.params -= step
+        vectors = (self.m, self.v, grad, net.params, self._step, self._denom)
+        scalars = (self.beta1, self.beta2, self.eps, lr, bc1, bc2)
+        cut = self._cut
+        upper = self._worker.submit(_adam_pass, *(a[cut:] for a in vectors), *scalars)
+        try:
+            _adam_pass(*(a[:cut] for a in vectors), *scalars)
+        finally:
+            upper.result()  # params are whole again, and a worker error raises here
+
+    def close(self) -> None:
+        """End the worker thread; later calls do nothing."""
+        self._worker.shutdown()
+
+    def __enter__(self) -> "AdamState":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def backprop(net: Mlp, x: np.ndarray, d_out: np.ndarray) -> list[np.ndarray]:
@@ -305,37 +344,37 @@ def train(
     scn = env.scn
     net = build_network(scn.sector_count, cfg, rng)
     target = net.copy()
-    adam = AdamState(net)
     buffer = ReplayBuffer(cfg.buffer_capacity, 2 * scn.sector_count)
     log = MetricsLog()
 
     state = env.reset()
     features = encode_features(state, scn)
     window_sum = 0.0
-    for t in range(total_iterations):
-        eps = epsilon_at(cfg, t)
-        action = select_action(net, features, eps, rng)
-        result = env.step(EnvAction(action))
-        next_features = encode_features(result.next_state, scn)
-        buffer.push(Experience(features, action, result.reward, next_features, result.done))
+    with AdamState(net) as adam:
+        for t in range(total_iterations):
+            eps = epsilon_at(cfg, t)
+            action = select_action(net, features, eps, rng)
+            result = env.step(EnvAction(action))
+            next_features = encode_features(result.next_state, scn)
+            buffer.push(Experience(features, action, result.reward, next_features, result.done))
 
-        loss = float("nan")
-        if buffer.size >= max(cfg.batch_size, cfg.warmup):
-            loss = train_step(net, target, buffer, cfg, rng, adam)
-        if (t + 1) % cfg.target_sync_period == 0:
-            sync_target(net, target)
+            loss = float("nan")
+            if buffer.size >= max(cfg.batch_size, cfg.warmup):
+                loss = train_step(net, target, buffer, cfg, rng, adam)
+            if (t + 1) % cfg.target_sync_period == 0:
+                sync_target(net, target)
 
-        window_sum += result.reward
-        if t >= AVG_WINDOW:
-            window_sum -= log.rows[t - AVG_WINDOW].reward
-        avg = window_sum / min(t + 1, AVG_WINDOW)
-        log.add_row(t, result.reward, avg, loss, eps, result.served_count)
+            window_sum += result.reward
+            if t >= AVG_WINDOW:
+                window_sum -= log.rows[t - AVG_WINDOW].reward
+            avg = window_sum / min(t + 1, AVG_WINDOW)
+            log.add_row(t, result.reward, avg, loss, eps, result.served_count)
 
-        if result.done:
-            state = env.reset()
-            features = encode_features(state, scn)
-        else:
-            features = next_features
+            if result.done:
+                state = env.reset()
+                features = encode_features(state, scn)
+            else:
+                features = next_features
     return net, log
 
 

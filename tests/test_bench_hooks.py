@@ -5,6 +5,7 @@ replaces is put back afterwards."""
 
 import importlib
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,18 @@ def test_every_span_resolves_and_counters_move(tracer_module):
 
 def test_dqn_spans_record_a_training_run(tracer_module):
     tracer = tracer_module.Tracer()
+    # The tracer keeps one span stack, so every span must open on the main thread.
+    callers = set()
+    wrap = tracer.wrap
+
+    def wrap_recording_thread(name, fn, observe=None):
+        def on_thread(*args, **kwargs):
+            callers.add((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+
+        return wrap(name, on_thread, observe)
+
+    tracer.wrap = wrap_recording_thread
     tracer_module.install(tracer)
     cfg = harness.ExperimentConfig(
         k_gbs=1, off_ids=(), mu_count=5, horizon=3, warmup=8, batch_size=4, hidden_sizes=(8,),
@@ -82,3 +95,5 @@ def test_dqn_spans_record_a_training_run(tracer_module):
     forwards = len(tracer.durations["dqn.forward"])
     assert len(tracer.durations["dqn.forward_batch"]) == forwards + 2 * train_steps
     assert tracer.counters["train_step_macs"] > 0
+    assert {name for name, _ in callers} >= {"dqn.train_step", "dqn.adam_update"}
+    assert {thread for _, thread in callers} == {threading.main_thread()}

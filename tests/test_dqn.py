@@ -1,4 +1,7 @@
+import os
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -494,6 +497,83 @@ class TestAdamCrossover:
             assert adam.v.tobytes() == checkpoint_order(ref_adam.v).tobytes(), t
 
 
+def adam_and_reference(sizes, seed, t=0):
+    """An `AdamState` and a `ListAdam` on twin nets, both at step count t."""
+    net = Mlp(sizes, np.random.default_rng(seed))
+    ref = ListNet(net)
+    adam, ref_adam = AdamState(net), ListAdam(ref)
+    adam.t = ref_adam.t = t
+    return net, adam, ref, ref_adam
+
+
+def matches_reference(net, adam, ref, ref_adam):
+    return (
+        net.params.tobytes() == checkpoint_order(ref.weights + ref.biases).tobytes()
+        and adam.m.tobytes() == checkpoint_order(ref_adam.m).tobytes()
+        and adam.v.tobytes() == checkpoint_order(ref_adam.v).tobytes()
+    )
+
+
+class TestAdamThreads:
+    def test_rejected_gradient_changes_nothing(self):
+        net = Mlp([3, 5, 4], np.random.default_rng(20))
+        adam = AdamState(net)
+        adam.update(net, np.ones(net.params.size), 0.01)
+        before = (adam.t, adam.m.tobytes(), adam.v.tobytes(), net.params.tobytes())
+        with pytest.raises(ValueError):
+            adam.update(net, np.ones(net.params.size - 1), 0.01)
+        with pytest.raises(ValueError):
+            adam.update(Mlp([3, 5, 5]), np.ones(net.params.size), 0.01)
+        assert (adam.t, adam.m.tobytes(), adam.v.tobytes(), net.params.tobytes()) == before
+        adam.close()
+
+    def test_close_twice_and_as_context(self):
+        net = Mlp([3, 5, 4], np.random.default_rng(21))
+        with AdamState(net) as adam:
+            adam.update(net, np.ones(net.params.size), 0.01)
+        adam.close()
+
+    def test_concurrent_states_match_list_reference(self):
+        # More threads than cores, each driving its own AdamState (and so its
+        # own worker) against the per-array reference, with the interpreter
+        # switching threads as often as it can. Sizes cover an empty half
+        # (2 parameters), an odd count below 16 and counts not a multiple of 8;
+        # odd-numbered threads cross t = 356, where the bc1 shortcut starts.
+        all_sizes = [[1, 1], [2, 3], [3, 5, 4], [4, 16, 9]]
+        n_threads = (os.cpu_count() or 1) + 3
+        done, failures = [], []
+
+        def drive(i):
+            sizes = all_sizes[i % len(all_sizes)]
+            net, adam, ref, ref_adam = adam_and_reference(sizes, 30 + i, 330 * (i % 2))
+            rng = np.random.default_rng(60 + i)
+            try:
+                for step in range(50):
+                    grad = rng.standard_normal(net.params.size)
+                    adam.update(net, grad, 0.01)
+                    ref_adam.update(ref, per_array(net, grad), 0.01)
+                    if not matches_reference(net, adam, ref, ref_adam):
+                        failures.append((sizes, step))
+                        return
+                done.append(i)
+            finally:
+                adam.close()
+
+        threads = [threading.Thread(target=drive, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert failures == []
+        assert sorted(done) == list(range(n_threads))
+
+
 class TestAdamAllocation:
     def test_update_allocates_no_parameter_sized_vector(self):
         net = Mlp([6, 128, 128, 729], np.random.default_rng(14))
@@ -539,10 +619,10 @@ class TestSyncTarget:
 
 
 class TestTrainLoop:
-    def small_env(self, seed=0):
+    def small_env(self, seed=0, warmup=16):
         cfg = harness.ExperimentConfig(
             k_gbs=1, off_ids=(), mu_count=4, pi_thresh=1, horizon=10,
-            eps_decay_steps=50, warmup=16, batch_size=8,
+            eps_decay_steps=50, warmup=warmup, batch_size=8,
         )
         scn = harness.generate_scenario(cfg, np.random.default_rng(seed))
         return NesEnv(scn, np.random.default_rng(seed)), cfg.agent()
@@ -569,6 +649,31 @@ class TestTrainLoop:
         net, log = train(env, cfg, 200, np.random.default_rng(1))
         f = encode_features(env.state, env.scn)
         assert np.all(np.isfinite(forward(net, f)))
+
+
+    def test_adam_worker_ends_with_train(self):
+        before = set(threading.enumerate())
+        env, cfg = self.small_env(2, warmup=8)
+        train(env, cfg, 60, np.random.default_rng(2))
+        assert set(threading.enumerate()) <= before
+
+    def test_adam_worker_ends_when_train_raises(self, monkeypatch):
+        before = set(threading.enumerate())
+        env, cfg = self.small_env(3, warmup=8)
+        step, calls, running = env.step, [], []
+
+        def failing_step(action):
+            calls.append(action)
+            if len(calls) == 41:  # iteration 40, after 33 train steps
+                running.extend(set(threading.enumerate()) - before)
+                raise RuntimeError("step failed")
+            return step(action)
+
+        monkeypatch.setattr(env, "step", failing_step)
+        with pytest.raises(RuntimeError, match="step failed"):
+            train(env, cfg, 100, np.random.default_rng(3))
+        assert running  # the worker was alive mid-loop
+        assert set(threading.enumerate()) <= before
 
 
 class TestCheckpoint:
