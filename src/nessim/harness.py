@@ -76,6 +76,60 @@ class ExperimentConfig:
     mu_grid: tuple[int, ...] = (200, 500, 1000, 1500, 2000)
     distance_grid: tuple[float, ...] = (50.0, 100.0, 200.0, 300.0, 400.0)
 
+    def __post_init__(self):
+        """Check every rule of the config, so that a config that constructs can
+        run: a broken rule raises `ConfigError`."""
+        try:
+            for key in ("off_ids", "hidden_sizes", "mu_grid", "distance_grid"):
+                object.__setattr__(self, key, tuple(getattr(self, key)))
+            self.agent()
+            if any(v < 0 for v in self.mu_grid):
+                raise ValueError("mu_grid: MU counts must be >= 0")
+            if any(v <= DISTANCE_BAND_FLOOR_M for v in self.distance_grid):
+                raise ValueError(f"distance_grid: values must be > {DISTANCE_BAND_FLOOR_M:g} m")
+            # Admission control: the joint action space grows as 9**sectors, so a
+            # DQN that cannot fit in memory is refused before anything is built.
+            s_count = 3 * (self.k_gbs - len(set(self.off_ids)))
+            if 0 < s_count <= SECTOR_LIMIT:
+                need = dqn.training_bytes(dqn.network_sizes(s_count, self.hidden_sizes))
+                have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+                if need > have:
+                    raise ValueError(
+                        f"hidden_sizes/off_ids: training the DQN for {s_count} sectors needs "
+                        f"about {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
+                        "of physical memory"
+                    )
+            if self.k_gbs < 1:
+                raise ValueError("k_gbs: must be >= 1")
+            # int() keeps a fractional k_gbs from raising here; the integer check reports it.
+            if not set(self.off_ids).issubset(range(int(self.k_gbs))):
+                raise ValueError("off_ids: contains an id outside [0, k_gbs)")
+            if s_count == 0:
+                raise ValueError("off_ids: no active GBS remains")
+            if self.mu_count < 0:
+                raise ValueError("mu_count: must be >= 0")
+            if self.rate_min > self.rate_max:
+                raise ValueError("rate_min/rate_max: need rate_min <= rate_max")
+            for part in (self.constraints, self.channel, self.antenna):
+                part()  # each part checks its own fields
+            if s_count > SECTOR_LIMIT:
+                raise ValueError(f"{s_count} controllable sectors exceed limit {SECTOR_LIMIT}")
+            # Integer fields take integers only; float fields take JSON integers too.
+            for f in dataclasses.fields(self):
+                value = getattr(self, f.name)
+                if f.type == "tuple[int, ...]" and not all(map(_is_int, value)):
+                    raise ValueError(f"{f.name}: values must be integers")
+                optional = f.type == "int | None" and value is None
+                if f.type in ("int", "int | None") and not (_is_int(value) or optional):
+                    raise ValueError(f"{f.name}: must be an integer")
+            for name in ("seed", "iterations", "eval_episodes"):
+                if getattr(self, name) < 0:
+                    raise ValueError(f"{name}: must be >= 0")
+            if self.horizon < 1:
+                raise ValueError("horizon: must be >= 1")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+
     def channel(self) -> ChannelParams:
         return ChannelParams(
             alpha=self.alpha,
@@ -96,18 +150,21 @@ class ExperimentConfig:
         )
 
     def agent(self) -> dqn.AgentConfig:
-        return dqn.AgentConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            zeta=self.zeta,
-            eps_start=self.eps_start,
-            eps_end=self.eps_end,
-            eps_decay_steps=self.eps_decay_steps,
-            target_sync_period=self.target_sync_period,
-            hidden_sizes=tuple(self.hidden_sizes),
-            warmup=self.warmup,
-            buffer_capacity=self.buffer_capacity,
-        )
+        fields = dataclasses.fields(dqn.AgentConfig)
+        return dqn.AgentConfig(**{f.name: getattr(self, f.name) for f in fields})
+
+    def constraints(self) -> ConstraintConfig:
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(ConstraintConfig)}
+        active = self.k_gbs - len(set(self.off_ids))
+        if self.pi_thresh is None:
+            values["pi_thresh"] = math.ceil(0.5 * self.mu_count)
+        if self.pi_k_max is None:
+            values["pi_k_max"] = 2 * math.ceil(max(self.mu_count, 1) / active)
+        return ConstraintConfig(**values)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def load_config(path: str | None, **overrides) -> ExperimentConfig:
@@ -126,31 +183,7 @@ def load_config(path: str | None, **overrides) -> ExperimentConfig:
     for key in values:
         if key not in known:
             raise ConfigError(f"unknown config field: {key}")
-    try:
-        for key in ("off_ids", "hidden_sizes", "mu_grid", "distance_grid"):
-            if key in values:
-                values[key] = tuple(values[key])
-        cfg = ExperimentConfig(**values)
-        cfg.agent()  # validates the agent fields, so their errors are config errors too
-        # The sweep grids too, so that a bad grid point fails before any point trains.
-        if any(v < 0 for v in cfg.mu_grid):
-            raise ValueError("mu_grid: MU counts must be >= 0")
-        if any(v <= DISTANCE_BAND_FLOOR_M for v in cfg.distance_grid):
-            raise ValueError(f"distance_grid: values must be > {DISTANCE_BAND_FLOOR_M:g} m")
-        # Admission control: the joint action space grows as 9**sectors, so a
-        # DQN that cannot fit in memory is refused before anything is built.
-        s_count = 3 * (cfg.k_gbs - len(set(cfg.off_ids)))
-        if 0 < s_count <= SECTOR_LIMIT:
-            need = dqn.training_bytes(dqn.network_sizes(s_count, cfg.hidden_sizes))
-            have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-            if need > have:
-                raise ValueError(
-                    f"hidden_sizes/off_ids: training the DQN for {s_count} sectors needs about "
-                    f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
-                )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def _lattice_positions(k: int, spacing: float) -> list[Position]:
@@ -164,53 +197,20 @@ def _lattice_positions(k: int, spacing: float) -> list[Position]:
 
 
 def generate_scenario(cfg: ExperimentConfig, rng: np.random.Generator) -> Scenario:
-    if cfg.k_gbs < 1:
-        raise ConfigError("k_gbs: must be >= 1")
-    off = set(cfg.off_ids)
-    if not off.issubset(range(cfg.k_gbs)):
-        raise ConfigError("off_ids: contains an id outside [0, k_gbs)")
-    active_count = cfg.k_gbs - len(off)
-    if active_count == 0:
-        raise ConfigError("off_ids: no active GBS remains")
-    if cfg.mu_count < 0:
-        raise ConfigError("mu_count: must be >= 0")
-    if cfg.rate_min > cfg.rate_max:
-        raise ConfigError("rate_min/rate_max: need rate_min <= rate_max")
-
-    pi_thresh = cfg.pi_thresh
-    if pi_thresh is None:
-        pi_thresh = math.ceil(0.5 * cfg.mu_count)
-    pi_k_max = cfg.pi_k_max
-    if pi_k_max is None:
-        pi_k_max = 2 * math.ceil(max(cfg.mu_count, 1) / active_count)
-
     gbss = [
-        Gbs(id=i, position=pos, height=10.0, active=i not in off)
+        Gbs(id=i, position=pos, height=10.0, active=i not in cfg.off_ids)
         for i, pos in enumerate(_lattice_positions(cfg.k_gbs, cfg.inter_site_m))
     ]
-    try:
-        constraints = ConstraintConfig(
-            pi_thresh=pi_thresh,
-            pi_k_max=pi_k_max,
-            p_min_dbm=cfg.p_min_dbm,
-            p_max_dbm=cfg.p_max_dbm,
-            d_min=cfg.d_min,
-            d_max=cfg.d_max,
-            rate_min=cfg.rate_min,
-            rate_max=cfg.rate_max,
-        )
-        return Scenario(
-            gbss=gbss,
-            mu_count=cfg.mu_count,
-            constraints=constraints,
-            channel=cfg.channel(),
-            antenna=cfg.antenna(),
-            horizon=cfg.horizon,
-            rsrp_threshold_dbm=cfg.rsrp_threshold_dbm,
-            resample_on_reset=cfg.resample_on_reset,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Scenario(
+        gbss=gbss,
+        mu_count=cfg.mu_count,
+        constraints=cfg.constraints(),
+        channel=cfg.channel(),
+        antenna=cfg.antenna(),
+        horizon=cfg.horizon,
+        rsrp_threshold_dbm=cfg.rsrp_threshold_dbm,
+        resample_on_reset=cfg.resample_on_reset,
+    )
 
 
 def make_greedy_policy(net: dqn.Mlp):
@@ -349,32 +349,30 @@ EVAL_HEADER = "policy,mean_reward,reward_per_mu,served_fraction"
 
 
 def write_training_csv(log: MetricsLog, path) -> None:
-    lines = [TRAINING_HEADER]
-    for r in log.rows:
-        lines.append(
-            f"{r.iteration},{_fmt(r.reward)},{_fmt(r.avg_reward)},"
-            f"{_fmt(r.loss)},{_fmt(r.epsilon)},{r.served}"
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, TRAINING_HEADER, (
+        f"{r.iteration},{_fmt(r.reward)},{_fmt(r.avg_reward)},"
+        f"{_fmt(r.loss)},{_fmt(r.epsilon)},{r.served}"
+        for r in log.rows
+    ))
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.kind},{_fmt(r.value)},{r.policy},{_fmt(r.mean_reward)},"
-            f"{_fmt(r.reward_per_mu)},{_fmt(r.served_fraction)}"
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, SWEEP_HEADER, (
+        f"{r.kind},{_fmt(r.value)},{r.policy},{_fmt(r.mean_reward)},"
+        f"{_fmt(r.reward_per_mu)},{_fmt(r.served_fraction)}"
+        for r in rows
+    ))
 
 
 def write_eval_csv(summaries: list[EvalSummary], path) -> None:
-    lines = [EVAL_HEADER]
-    for s in summaries:
-        lines.append(
-            f"{s.policy},{_fmt(s.mean_reward)},{_fmt(s.reward_per_mu)},{_fmt(s.served_fraction)}"
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, EVAL_HEADER, (
+        f"{s.policy},{_fmt(s.mean_reward)},{_fmt(s.reward_per_mu)},{_fmt(s.served_fraction)}"
+        for s in summaries
+    ))
+
+
+def _write_csv(path, header: str, rows) -> None:
+    _write_text(path, "\n".join([header, *rows]) + "\n")
 
 
 def _write_text(path, text: str) -> None:

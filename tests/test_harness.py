@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -27,6 +28,37 @@ from nessim.harness import (
     write_training_svg,
 )
 from nessim.metrics import MetricsLog
+from nessim.network import ConstraintConfig
+from nessim.radio import AntennaParams, ChannelParams
+
+
+# Configs that break one rule each; the CLI exits 2 on every one. The last one
+# is refused by the memory estimate.
+BAD_CONFIGS = (
+    {"k_gbs": 2, "off_ids": [0, 1]},
+    {"learning_rate": 0},
+    {"target_sync_period": 0},
+    {"buffer_capacity": 0},
+    {"buffer_capacity": 499, "warmup": 500},
+    {"hidden_sizes": [0]},
+    {"pi_k_max": 0},
+    {"pi_thresh": -1},
+    {"distance_grid": [50, 10]},
+    {"mu_grid": [-3]},
+    {"mu_grid": 5},
+    {"rician_k": 3.0, "iterations": 0},  # not a field: the rate is the K = 0 form
+    {"seed": -2},
+    {"iterations": 2.5},
+    {"mu_count": 2.5},
+    {"hidden_sizes": [8.5]},
+    {"mu_grid": [2.5]},
+    {"pi_thresh": 2.5},
+    {"iterations": True},
+    {"seed": None},
+    {"horizon": 0},
+    {"eval_episodes": -1},
+    {"k_gbs": 2, "off_ids": [], "hidden_sizes": [4096, 4096]},  # > 100 GiB of DQN
+)
 
 
 def tiny_cfg(**kw):
@@ -97,6 +129,42 @@ class TestLoadConfig:
         p = tmp_path / "config.json"
         p.write_text(json.dumps({"seed": 1}))
         assert load_config(str(p), seed=9).seed == 9
+
+    def test_bad_configs_fail_at_load(self, tmp_path):
+        p = tmp_path / "config.json"
+        for values in BAD_CONFIGS:
+            p.write_text(json.dumps(values))
+            with pytest.raises(ConfigError):
+                load_config(str(p))
+
+
+class TestExperimentConfig:
+    def test_builders_match_part_defaults(self):
+        cfg = ExperimentConfig()
+        assert cfg.agent() == dqn.AgentConfig()
+        assert cfg.channel() == ChannelParams()
+        assert cfg.antenna() == AntennaParams()
+        derived = {"pi_thresh", "pi_k_max"}
+        built = cfg.constraints()
+        for f in dataclasses.fields(ConstraintConfig):
+            if f.name not in derived:
+                assert getattr(built, f.name) == f.default, f.name
+
+    def test_accepted_values(self):
+        # Float fields take integers, integer fields numpy integers, and a
+        # run may have no iterations or evaluation episodes; lists become tuples.
+        cfg = ExperimentConfig(alpha=3, d_max=150, seed=np.int64(4), iterations=0, eval_episodes=0,
+                               horizon=1, off_ids=[1], hidden_sizes=[8], mu_grid=[4],
+                               distance_grid=[60.0])
+        assert (cfg.off_ids, cfg.hidden_sizes, cfg.mu_grid, cfg.distance_grid) == (
+            (1,), (8,), (4,), (60.0,))
+
+    def test_replace_checks_again(self):
+        cfg = tiny_cfg()
+        with pytest.raises(ConfigError, match="d_min"):
+            dataclasses.replace(cfg, d_min=200.0, d_max=100.0)
+        with pytest.raises(ConfigError, match="controllable sectors"):
+            dataclasses.replace(cfg, k_gbs=3)
 
 
 class TestEvaluatePolicy:
@@ -243,26 +311,19 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
-        for values in (
-            {"k_gbs": 2, "off_ids": [0, 1]},
-            {"learning_rate": 0},
-            {"target_sync_period": 0},
-            {"buffer_capacity": 0},
-            {"buffer_capacity": 499, "warmup": 500},
-            {"hidden_sizes": [0]},
-            {"pi_k_max": 0},
-            {"pi_thresh": -1},
-            {"distance_grid": [50, 10]},
-            {"mu_grid": [-3]},
-            {"mu_grid": 5},
-            {"rician_k": 3.0, "iterations": 0},  # not a field: the rate is the K = 0 form
-            {"k_gbs": 2, "off_ids": [], "hidden_sizes": [4096, 4096]},  # > 100 GiB of DQN
-        ):
+        for values in BAD_CONFIGS:
             bad.write_text(json.dumps(values))
             r = self.run_cli("train", "--config", str(bad), "--out", str(tmp_path / "out"))
             assert r.returncode == 2, (values, r.stderr)
             assert r.stderr.startswith("config error"), (values, r.stderr)
         assert "GiB" in r.stderr  # the oversized DQN's memory estimate
+
+    def test_negative_seed_flag_exit_code(self, tmp_path):
+        for command in ("train", "eval"):
+            r = self.run_cli(command, "--config", self.cfg_file(tmp_path), "--seed", "-2",
+                             "--out", str(tmp_path / "out"))
+            assert r.returncode == 2, r.stderr
+            assert r.stderr == "config error: seed: must be >= 0\n"
 
     def test_unknown_field_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
