@@ -127,6 +127,12 @@ class ExperimentConfig:
                     raise ValueError(f"{name}: must be >= 0")
             if self.horizon < 1:
                 raise ValueError("horizon: must be >= 1")
+            # json.load reads NaN, and a NaN passes every range check above.
+            for f in dataclasses.fields(self):
+                value = getattr(self, f.name)
+                values = value if f.type == "tuple[float, ...]" else (value,)
+                if f.type in ("float", "tuple[float, ...]") and any(map(math.isnan, values)):
+                    raise ValueError(f"{f.name}: must not be NaN")
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 

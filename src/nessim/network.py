@@ -248,9 +248,11 @@ def associate_cached(geom: RadioGeometry, tilts_deg, powers_dbm, cfg: Constraint
 
 
 def objective_value(a: Assignment) -> float:
-    # Python's sum adds the served rates one by one in MU order; np.sum adds
-    # pairwise, which changes the low bits of the reward.
-    return sum(a.rates[a.pi_mask].tolist())
+    # A left-to-right fold over the served rates in MU order, whatever the
+    # interpreter: np.sum adds pairwise and Python 3.12's sum() compensates,
+    # and either changes the low bits of the reward.
+    served = a.rates[a.pi_mask]
+    return float(np.add.accumulate(served)[-1]) if served.size else 0.0
 
 
 def check_constraints(a: Assignment, geom: RadioGeometry, cfg: ConstraintConfig) -> ConstraintReport:

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from hypothesis import strategies as st
 from nessim.env import (
     EnvAction,
     EnvState,
-    InvalidScenario,
     NesEnv,
     Scenario,
     action_space_size,
     decode_action,
     encode_features,
 )
+from nessim.harness import ExperimentConfig, generate_scenario
 from nessim.network import MU_HEIGHT_M, TILT_MAX_DEG, ConstraintConfig, Gbs
 from nessim.radio import AntennaParams, ChannelParams, Position, dbm_to_watts, distance_3d
 
@@ -31,6 +32,28 @@ def make_scenario(**kw):
     )
     defaults.update(kw)
     return Scenario(**defaults)
+
+
+def reference_drop(scn, rng):
+    """A user drop as scalar libm math, one user at a time: the same four
+    draws as `NesEnv._sample_geometry`, then Python's `**`, `math.sqrt`,
+    `math.cos` and `math.sin` per user. Returns (xs, ys, rate thresholds)."""
+    cfg = scn.constraints
+    anchors = rng.integers(0, len(scn.gbss), scn.mu_count)
+    radii3 = np.sqrt(rng.uniform(cfg.d_min**2, cfg.d_max**2, scn.mu_count))
+    angles = rng.uniform(0.0, 2.0 * math.pi, scn.mu_count)
+    thresholds = rng.uniform(cfg.rate_min, cfg.rate_max, scn.mu_count)
+    sites = [
+        (g.position.x, g.position.y, (g.height - MU_HEIGHT_M) * (g.height - MU_HEIGHT_M))
+        for g in scn.gbss
+    ]
+    xs, ys = [], []
+    for k, r3, angle in zip(anchors.tolist(), radii3.tolist(), angles.tolist()):
+        x, y, dz2 = sites[k]
+        r2d = math.sqrt(max(r3**2 - dz2, 0.0))
+        xs.append(x + r2d * math.cos(angle))
+        ys.append(y + r2d * math.sin(angle))
+    return np.array(xs), np.array(ys), thresholds
 
 
 IDENTITY_DIGIT = 4  # (0 tilt, 0 dB) per sector
@@ -103,14 +126,32 @@ class TestReset:
         assert result.served_count == 0
         assert result.reward == 0.0
 
-    def test_no_active_gbs_rejected(self):
-        with pytest.raises(InvalidScenario):
-            make_scenario(gbss=[Gbs(0, Position(0, 0), 10.0, False)])
 
-    def test_sector_limit(self):
-        gbss = [Gbs(i, Position(500.0 * i, 0), 10.0, True) for i in range(3)]
-        with pytest.raises(InvalidScenario):
-            make_scenario(gbss=gbss)
+class TestArrayDrop:
+    # The drop is array code, yet every user must land where the scalar
+    # reference puts it, bit for bit. On a numpy build whose float64 cos, sin
+    # or pow is not libm's, this fails instead of letting users move silently
+    # (and with them every reward, training.csv and checkpoint).
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(k_gbs=2, off_ids=(1,), mu_count=2000),  # users around the off GBS too
+        ExperimentConfig(k_gbs=4, off_ids=(1, 2), mu_count=2000),
+        # Below the 8.5 m height gap the ground radius clamps to 0: users on the mast.
+        ExperimentConfig(k_gbs=2, off_ids=(1,), mu_count=2000, d_min=2.0, d_max=30.0),
+    ], ids=["conv", "four-two-off", "clamped"])
+    def test_matches_scalar_reference(self, cfg):
+        scn = generate_scenario(cfg, np.random.default_rng(0))
+        sites = {(g.position.x, g.position.y) for g in scn.gbss}
+        on_mast = 0
+        for seed in (0, 1, 2):
+            env, ref_rng = NesEnv(scn, np.random.default_rng(seed)), np.random.default_rng(seed)
+            for _ in range(2):
+                env.reset()
+                for got, want in zip(("mu_x", "mu_y", "rate_thresholds"),
+                                     reference_drop(scn, ref_rng)):
+                    assert getattr(env.geom, got).tobytes() == want.tobytes(), got
+                on_mast += sum(p in sites for p in zip(env.geom.mu_x.tolist(),
+                                                       env.geom.mu_y.tolist()))
+        assert (on_mast > 0) == (cfg.d_min < scn.gbss[0].height - MU_HEIGHT_M)
 
 
 class TestStep:

@@ -57,6 +57,9 @@ BAD_CONFIGS = (
     {"seed": None},
     {"horizon": 0},
     {"eval_episodes": -1},
+    {"alpha": float("nan")},  # json.dumps writes the NaN literal, which json.load reads
+    {"d_min": float("nan")},
+    {"distance_grid": [float("nan")]},
     {"k_gbs": 2, "off_ids": [], "hidden_sizes": [4096, 4096]},  # > 100 GiB of DQN
 )
 
@@ -324,6 +327,16 @@ class TestCli:
                              "--out", str(tmp_path / "out"))
             assert r.returncode == 2, r.stderr
             assert r.stderr == "config error: seed: must be >= 0\n"
+
+    def test_nan_config_exit_code(self, tmp_path):
+        # A NaN passes every range check: without the NaN rule, eval would
+        # exit 0 and write zero rewards for both policies.
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps({"alpha": float("nan"), "iterations": 0, "eval_episodes": 1,
+                                 "horizon": 5}))
+        r = self.run_cli("eval", "--config", str(p), "--out", str(tmp_path / "out"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == "config error: alpha: must not be NaN\n"
 
     def test_unknown_field_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

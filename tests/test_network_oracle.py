@@ -3,11 +3,13 @@
 The reference below is the earlier per-user implementation: geometry built
 from one record per MU, association results as dicts keyed by MU index,
 constraint checks that loop over users with `radio.distance_3d` and over the
-sector settings one by one, and the objective summed over dicts. The array
-path must reproduce it exactly, bit for bit, on hypothesis-drawn drops.
+sector settings one by one, and the objective folded left to right over dicts.
+The array path must reproduce it exactly, bit for bit, on hypothesis-drawn drops.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,7 @@ from nessim.network import (
     SECTOR_BORESIGHTS_DEG,
     TILT_MAX_DEG,
     TILT_MIN_DEG,
+    Assignment,
     ConstraintConfig,
     ConstraintReport,
     Gbs,
@@ -150,7 +153,9 @@ def reference_associate(geom, tilts, powers, cfg):
 
 
 def reference_objective(a):
-    return sum(a.rate[mu_id] for mu_id, served in a.pi_ind.items() if served)
+    # An explicit left fold from 0.0 in MU order: Python 3.12's sum() compensates.
+    served = (a.rate[mu_id] for mu_id, served in a.pi_ind.items() if served)
+    return functools.reduce(operator.add, served, 0.0)
 
 
 def reference_check_constraints(a, gbss, mus, tilts, powers, cfg):
@@ -287,3 +292,18 @@ def test_array_path_matches_per_user_reference(case):
     assert check_constraints(a, geom, cfg) == reference_check_constraints(
         ref, gbss, mus, tilts[active], powers[active], cfg
     )
+
+
+def test_objective_is_a_left_fold_not_pairwise():
+    # One large rate then many tiny ones: a left fold rounds each tiny one
+    # away, while np.sum's pairwise blocks add them up first.
+    rates = [1.0] + [1e-16] * 15 + [5.0]
+    pi = [True] * 16 + [False]
+    n = len(rates)
+    a = Assignment(
+        np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.array(pi), np.array(pi),
+        np.array(pi), np.array(rates), np.zeros((1, 3)), np.zeros((1, 3)),
+    )
+    ref = ReferenceAssignment({}, {}, {}, dict(enumerate(pi)), dict(enumerate(rates)))
+    assert np.sum(a.rates[a.pi_mask]) != reference_objective(ref)
+    assert repr(objective_value(a)) == repr(reference_objective(ref)) == "1.0"
