@@ -127,13 +127,15 @@ class ExperimentConfig:
                     raise ValueError(f"{name}: must be >= 0")
             if self.horizon < 1:
                 raise ValueError("horizon: must be >= 1")
-            # json.load reads NaN, and a NaN passes every range check above.
+            # json.load reads NaN and Infinity. Only rsrp_threshold_dbm may be -Infinity: no gate.
             for f in dataclasses.fields(self):
                 value = getattr(self, f.name)
                 values = value if f.type == "tuple[float, ...]" else (value,)
-                if f.type in ("float", "tuple[float, ...]") and any(map(math.isnan, values)):
-                    raise ValueError(f"{f.name}: must not be NaN")
-        except (TypeError, ValueError) as exc:
+                if f.type in ("float", "tuple[float, ...]") and not all(map(math.isfinite, values)):
+                    nan = any(map(math.isnan, values))
+                    if nan or (f.name, value) != ("rsrp_threshold_dbm", -math.inf):
+                        raise ValueError(f"{f.name}: must {'not be NaN' if nan else 'be finite'}")
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def channel(self) -> ChannelParams:

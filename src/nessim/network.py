@@ -120,19 +120,33 @@ def _value_range(values: np.ndarray) -> tuple[float, float]:
     return float(values.min(initial=np.inf)), float(values.max(initial=-np.inf))
 
 
+def _offsets(gbss: list[Gbs], mu_x: np.ndarray, mu_y: np.ndarray):
+    """(U, K) x, y and height offsets from each MU to each of the K `gbss`."""
+    gx, gy, gh = np.array([(g.position.x, g.position.y, g.height) for g in gbss]).reshape(-1, 3).T
+    # A full (U, K) dz like dx: numpy may run another SIMD loop on a broadcast one.
+    return mu_x[:, None] - gx, mu_y[:, None] - gy, gh - np.full((len(mu_x), 1), MU_HEIGHT_M)
+
+
+def _nearest_distance(geom: RadioGeometry) -> np.ndarray:
+    """(U,) 3D distance from each MU to its nearest GBS, off ones included, by
+    radio.distance_3d's arithmetic (libm pow squares dz as Python's ** does), so
+    the distance band check agrees with it bit for bit at the band edges."""
+    dx, dy, dz = _offsets(geom.gbss, geom.mu_x, geom.mu_y)
+    return np.sqrt(np.float_power(dz, 2) + dx * dx + dy * dy).min(axis=1)
+
+
 class RadioGeometry:
     """Precomputed per-(MU, GBS, sector) geometry for fast re-association.
 
     Tilt/power sweeps only change the elevation term, so everything that
     depends on positions alone is cached as arrays: distances, elevation
-    angles, and azimuth gains per sector. So are the ranges that the
-    position-only constraints check: nearest-GBS distance and rate threshold.
-    MUs are given as arrays, one entry per MU, indexed 0..U-1 and standing at
-    `MU_HEIGHT_M`; the thresholds may be scalars shared by all of them.
+    angles, and azimuth gains per sector. MUs are given as arrays, one entry
+    per MU, indexed 0..U-1 and standing at `MU_HEIGHT_M`; the thresholds may
+    be scalars shared by all of them.
 
     An off GBS radiates nothing, so the link arrays (`d3d`, `theta_elev`,
     `az_gain_db`, `pathloss`) and `gbs_ids`/`n_gbs` cover the active GBSs
-    only, in `gbss` order. Off GBSs enter only the nearest-GBS distance.
+    only, in `gbss` order. Off GBSs enter only `check_constraints`.
     """
 
     def __init__(
@@ -147,35 +161,18 @@ class RadioGeometry:
     ):
         if not gbss:
             raise ValueError("at least one GBS required")
-        self.ch = ch
-        self.ap = ap
+        self.gbss, self.ch, self.ap = gbss, ch, ap
         ux = np.asarray(mu_x, dtype=float)
         uy = np.asarray(mu_y, dtype=float)
         self.n_mu = len(ux)
         self.mu_x, self.mu_y = ux, uy
         self.rate_thresholds = np.broadcast_to(np.asarray(rate_thresholds, dtype=float), ux.shape)
         self.rsrp_thresholds = np.broadcast_to(np.asarray(rsrp_thresholds, dtype=float), ux.shape)
-        active = np.array([g.active for g in gbss], dtype=bool)
-        self.gbs_ids = np.array([g.id for g in gbss], dtype=np.int64)[active]
-        self.n_gbs = len(self.gbs_ids)
+        active = [g for g in gbss if g.active]
+        self.gbs_ids = np.array([g.id for g in active], dtype=np.int64)
+        self.n_gbs = len(active)
 
-        gx = np.array([g.position.x for g in gbss])
-        gy = np.array([g.position.y for g in gbss])
-        gh = np.array([g.height for g in gbss])
-        dx = ux[:, None] - gx[None, :]
-        dy = uy[:, None] - gy[None, :]
-        # A full (U, K) array like d2d: numpy may run another SIMD loop on a broadcast one.
-        dz = gh[None, :] - np.full((self.n_mu, 1), MU_HEIGHT_M)
-
-        # Users are dropped around off GBSs too, so the nearest GBS is taken
-        # over all of them. radio.distance_3d's arithmetic, not d3d's hypot,
-        # so the distance band check agrees with it bit for bit at the band
-        # edges; libm pow (float_power) squares dz as Python's ** does.
-        self.nearest_d3d = np.sqrt(np.float_power(dz, 2) + dx * dx + dy * dy).min(axis=1)
-        self.nearest_range = _value_range(self.nearest_d3d)
-        self.rate_threshold_range = _value_range(self.rate_thresholds)
-
-        dx, dy, dz = dx[:, active], dy[:, active], dz[:, active]
+        dx, dy, dz = _offsets(active, ux, uy)
         d2d = np.hypot(dx, dy)
         self.d3d = np.sqrt(d2d**2 + dz**2)                      # (U, K)
         self.theta_elev = np.degrees(np.arctan2(dz, d2d))       # (U, K)
@@ -229,7 +226,7 @@ def associate_cached(geom: RadioGeometry, tilts_deg, powers_dbm, cfg: Constraint
 
     # Interference: other active GBSs via their best sector toward the MU.
     total_best = best_rx.sum(axis=1)
-    interference = total_best - best_rx[rows, cand_gbs]
+    interference = total_best - cand_rx
     nu = geom.ch.phi_ric * interference + geom.ch.sigma2
     rates = approx_rate(cand_rx, nu, geom.d3d[rows, cand_gbs], geom.ch)
 
@@ -258,8 +255,8 @@ def objective_value(a: Assignment) -> float:
 def check_constraints(a: Assignment, geom: RadioGeometry, cfg: ConstraintConfig) -> ConstraintReport:
     """Constraints (c)-(i) for an assignment over `geom`'s MUs; power and tilt
     are checked on the active GBSs' sector state the assignment was computed for."""
-    d_lo, d_hi = geom.nearest_range
-    r_lo, r_hi = geom.rate_threshold_range
+    d_lo, d_hi = _value_range(_nearest_distance(geom))
+    r_lo, r_hi = _value_range(geom.rate_thresholds)
     p_lo, p_hi = _value_range(a.powers_dbm)
     t_lo, t_hi = _value_range(a.tilts_deg)
     return ConstraintReport(

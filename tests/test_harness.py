@@ -60,6 +60,15 @@ BAD_CONFIGS = (
     {"alpha": float("nan")},  # json.dumps writes the NaN literal, which json.load reads
     {"d_min": float("nan")},
     {"distance_grid": [float("nan")]},
+    {"inter_site_m": float("inf")},  # json.dumps writes Infinity, which json.load reads
+    {"d_max": float("inf")},
+    {"rate_max": float("inf")},
+    {"p_max_dbm": float("inf")},
+    {"g_max_dbi": float("inf")},
+    {"rx_gain_dbi": float("inf")},
+    {"distance_grid": [float("inf")]},
+    {"rsrp_threshold_dbm": float("inf")},
+    {"alpha": 10**400},  # an integer no float can hold
     {"k_gbs": 2, "off_ids": [], "hidden_sizes": [4096, 4096]},  # > 100 GiB of DQN
 )
 
@@ -161,6 +170,11 @@ class TestExperimentConfig:
                                distance_grid=[60.0])
         assert (cfg.off_ids, cfg.hidden_sizes, cfg.mu_grid, cfg.distance_grid) == (
             (1,), (8,), (4,), (60.0,))
+
+    def test_no_rsrp_gate_constructs(self):
+        # -Infinity dBm is the one infinite value a config takes: every MU passes the RSRP gate.
+        cfg = ExperimentConfig(rsrp_threshold_dbm=float("-inf"))
+        assert cfg.rsrp_threshold_dbm == float("-inf")
 
     def test_replace_checks_again(self):
         cfg = tiny_cfg()
@@ -337,6 +351,17 @@ class TestCli:
         r = self.run_cli("eval", "--config", str(p), "--out", str(tmp_path / "out"))
         assert r.returncode == 2, r.stderr
         assert r.stderr == "config error: alpha: must not be NaN\n"
+
+    def test_infinite_config_exit_code(self, tmp_path):
+        # An infinite power passes every range check: without the finite rule,
+        # eval would exit 0 after NaN arithmetic.
+        p = tmp_path / "inf.json"
+        p.write_text(json.dumps({"p_max_dbm": float("inf"), "iterations": 0, "eval_episodes": 1,
+                                 "horizon": 3}))
+        r = self.run_cli("eval", "--config", str(p), "--out", str(tmp_path / "out"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == "config error: p_max_dbm: must be finite\n"
+        assert not (tmp_path / "out" / "eval.csv").exists()
 
     def test_unknown_field_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

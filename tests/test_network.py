@@ -9,6 +9,7 @@ from nessim.network import (
     ConstraintConfig,
     Gbs,
     RadioGeometry,
+    _nearest_distance,
     associate_cached,
     check_constraints,
     objective_value,
@@ -116,20 +117,22 @@ class TestGeometry:
                 distance_3d(g.position, g.height, Position(xu, yu), MU_HEIGHT_M)
                 for g, xu, yu in zip(gbss, x.tolist(), y.tolist())
             ]
-            assert geom.nearest_d3d.tolist() == expected
-            assert geom.nearest_range == (min(expected), max(expected))
+            assert _nearest_distance(geom).tolist() == expected
 
     def test_off_gbs_only_in_nearest_distance(self):
-        # The MU stands by the off GBS 0, so that one is its nearest, but its
-        # links and its serving GBS are the active GBS 5's.
+        # The MU stands by the off GBS 0, so that one is its nearest and sets
+        # the distance band, but its links and its serving GBS are the active
+        # GBS 5's.
         gbss = [make_gbs(0, active=False), make_gbs(5, x=300.0)]
         geom = make_geometry(gbss, [40.0])
         assert geom.n_gbs == 1 and geom.gbs_ids.tolist() == [5]
         assert geom.d3d.shape == (1, 1) and geom.az_gain_db.shape == (1, 1, 3)
-        assert geom.nearest_d3d[0] == distance_3d(gbss[0].position, 10.0, Position(40.0, 0.0),
-                                                  MU_HEIGHT_M)
         a = associate_cached(geom, *sector_settings(gbss, power=45.0), make_cfg())
         assert a.serving_gbs.tolist() == [5]
+        nearest = distance_3d(gbss[0].position, 10.0, Position(40.0, 0.0), MU_HEIGHT_M)
+        assert check_constraints(a, geom, make_cfg(d_min=nearest)).distance_ok
+        beyond = np.nextafter(nearest, np.inf)
+        assert not check_constraints(a, geom, make_cfg(d_min=beyond)).distance_ok
 
     @pytest.mark.parametrize("off, rows", [(False, 1), (True, 2)])
     def test_sector_settings_must_cover_active_gbss(self, off, rows):
