@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,9 @@ from .radio import AntennaParams, ChannelParams, Position, db_to_linear, dbm_to_
 
 
 DISTANCE_BAND_FLOOR_M = 20.0  # lower edge of every distance sweep band
+# Bytes a user drop takes per (user, active station): a traced reset plus one
+# step peaks at about 213 of them with 20 000 users.
+DROP_LINK_BYTES = 256
 
 
 class ConfigError(ValueError):
@@ -55,7 +59,6 @@ class ExperimentConfig:
     front_back_db: float = 20.0
     theta_3db_deg: float = 65.0
     elev_floor_db: float = 20.0
-    elev_peak_dbi: float = 0.0
     # Agent
     learning_rate: float = 0.001
     batch_size: int = 32
@@ -80,8 +83,8 @@ class ExperimentConfig:
         """Check every rule of the config, so that a config that constructs can
         run: a broken rule raises `ConfigError`."""
         try:
-            for key in ("off_ids", "hidden_sizes", "mu_grid", "distance_grid"):
-                object.__setattr__(self, key, tuple(getattr(self, key)))
+            for f in dataclasses.fields(self):  # the annotations are the schema
+                object.__setattr__(self, f.name, _typed(f.name, f.type, getattr(self, f.name)))
             self.agent()
             if any(v < 0 for v in self.mu_grid):
                 raise ValueError("mu_grid: MU counts must be >= 0")
@@ -92,17 +95,10 @@ class ExperimentConfig:
             s_count = 3 * (self.k_gbs - len(set(self.off_ids)))
             if 0 < s_count <= SECTOR_LIMIT:
                 need = dqn.training_bytes(dqn.network_sizes(s_count, self.hidden_sizes))
-                have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-                if need > have:
-                    raise ValueError(
-                        f"hidden_sizes/off_ids: training the DQN for {s_count} sectors needs "
-                        f"about {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
-                        "of physical memory"
-                    )
+                _admit("hidden_sizes/off_ids", f"training the DQN for {s_count} sectors", need)
             if self.k_gbs < 1:
                 raise ValueError("k_gbs: must be >= 1")
-            # int() keeps a fractional k_gbs from raising here; the integer check reports it.
-            if not set(self.off_ids).issubset(range(int(self.k_gbs))):
+            if not all(0 <= i < self.k_gbs for i in self.off_ids):
                 raise ValueError("off_ids: contains an id outside [0, k_gbs)")
             if s_count == 0:
                 raise ValueError("off_ids: no active GBS remains")
@@ -110,69 +106,79 @@ class ExperimentConfig:
                 raise ValueError("mu_count: must be >= 0")
             if self.rate_min > self.rate_max:
                 raise ValueError("rate_min/rate_max: need rate_min <= rate_max")
-            for part in (self.constraints, self.channel, self.antenna):
-                part()  # each part checks its own fields
             if s_count > SECTOR_LIMIT:
                 raise ValueError(f"{s_count} controllable sectors exceed limit {SECTOR_LIMIT}")
-            # Integer fields take integers only; float fields take JSON integers too.
-            for f in dataclasses.fields(self):
-                value = getattr(self, f.name)
-                if f.type == "tuple[int, ...]" and not all(map(_is_int, value)):
-                    raise ValueError(f"{f.name}: values must be integers")
-                optional = f.type == "int | None" and value is None
-                if f.type in ("int", "int | None") and not (_is_int(value) or optional):
-                    raise ValueError(f"{f.name}: must be an integer")
+            for name, users in (("mu_count", self.mu_count), ("mu_grid", max(self.mu_grid, default=0))):
+                _admit(name, "the user drop", users * (s_count // 3) * DROP_LINK_BYTES)
+            for part in (self.constraints, self.channel, self.antenna):
+                part()  # each part checks its own fields
             for name in ("seed", "iterations", "eval_episodes"):
                 if getattr(self, name) < 0:
                     raise ValueError(f"{name}: must be >= 0")
             if self.horizon < 1:
                 raise ValueError("horizon: must be >= 1")
-            # json.load reads NaN and Infinity. Only rsrp_threshold_dbm may be -Infinity: no gate.
-            for f in dataclasses.fields(self):
-                value = getattr(self, f.name)
-                values = value if f.type == "tuple[float, ...]" else (value,)
-                if f.type in ("float", "tuple[float, ...]") and not all(map(math.isfinite, values)):
-                    nan = any(map(math.isnan, values))
-                    if nan or (f.name, value) != ("rsrp_threshold_dbm", -math.inf):
-                        raise ValueError(f"{f.name}: must {'not be NaN' if nan else 'be finite'}")
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
+    def _part(self, cls, **derived):
+        """Build `cls` from the config fields of the same names, plus `derived`."""
+        names = {f.name for f in dataclasses.fields(cls)} - derived.keys()
+        return cls(**{name: getattr(self, name) for name in names}, **derived)
+
     def channel(self) -> ChannelParams:
-        return ChannelParams(
-            alpha=self.alpha,
-            sigma2=dbm_to_watts(self.sigma2_dbm),
-            phi_ric=self.phi_ric,
-            rx_gain=float(db_to_linear(self.rx_gain_dbi)),
-            pathloss_mode=self.pathloss_mode,
-        )
+        return self._part(ChannelParams, sigma2=dbm_to_watts(self.sigma2_dbm),
+                          rx_gain=float(db_to_linear(self.rx_gain_dbi)))
 
     def antenna(self) -> AntennaParams:
-        return AntennaParams(
-            g_max_dbi=self.g_max_dbi,
-            psi_3db_deg=self.psi_3db_deg,
-            front_back_f_db=self.front_back_db,
-            theta_3db_deg=self.theta_3db_deg,
-            elev_floor_db=self.elev_floor_db,
-            elev_peak_dbi=self.elev_peak_dbi,
-        )
+        return self._part(AntennaParams)
 
     def agent(self) -> dqn.AgentConfig:
-        fields = dataclasses.fields(dqn.AgentConfig)
-        return dqn.AgentConfig(**{f.name: getattr(self, f.name) for f in fields})
+        return self._part(dqn.AgentConfig)
 
     def constraints(self) -> ConstraintConfig:
-        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(ConstraintConfig)}
-        active = self.k_gbs - len(set(self.off_ids))
-        if self.pi_thresh is None:
-            values["pi_thresh"] = math.ceil(0.5 * self.mu_count)
-        if self.pi_k_max is None:
-            values["pi_k_max"] = 2 * math.ceil(max(self.mu_count, 1) / active)
-        return ConstraintConfig(**values)
+        mu, active = self.mu_count, self.k_gbs - len(set(self.off_ids))
+        pi_thresh = math.ceil(0.5 * mu) if self.pi_thresh is None else self.pi_thresh
+        pi_k_max = 2 * math.ceil(max(mu, 1) / active) if self.pi_k_max is None else self.pi_k_max
+        return self._part(ConstraintConfig, pi_thresh=pi_thresh, pi_k_max=pi_k_max)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+# What a value of each field annotation may be; bools only where a bool is due.
+_SCALARS = {
+    "int": ((int, np.integer), "an integer"),
+    "int | None": ((int, np.integer, type(None)), "an integer"),
+    "float": ((int, float, np.integer, np.floating), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+}
+_TUPLES = {"tuple[int, ...]": ("int", "integers"), "tuple[float, ...]": ("float", "numbers")}
+
+
+def _typed(name: str, kind: str, value):
+    """`value` as the field `name` annotated `kind` stores it, a list as a tuple; a
+    wrong type raises `ValueError`, and so does a float that is not finite."""
+    item, plural = _TUPLES.get(kind, (kind, ""))
+    if plural and not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name}: must be a list")
+    types, what = _SCALARS[item]
+    for v in value if plural else (value,):
+        if not isinstance(v, types) or (isinstance(v, bool) and item != "bool"):
+            raise ValueError(f"{name}: values must be {plural}" if plural else f"{name}: must be {what}")
+        if item == "float":
+            # An int is compared exactly: past the largest float, math.isfinite overflows.
+            finite = abs(v) <= sys.float_info.max if isinstance(v, int) else math.isfinite(v)
+            if not finite and (name, v) != ("rsrp_threshold_dbm", -math.inf):  # -Infinity: no RSRP gate
+                raise ValueError(f"{name}: must {'not be NaN' if v != v else 'be finite'}")
+    return tuple(value) if plural else value
+
+
+def _admit(name: str, what: str, need: int) -> None:
+    """Refuse `what` when the `need` bytes it takes exceed physical memory. A
+    huge need prints as a power of ten: it may be past a float's range."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        gib = f"{need / 2**30:.1f}" if need < 2**60 else f"1e{math.log10(need >> 30):.0f}"
+        raise ValueError(f"{name}: {what} needs about {gib} GiB, more than the "
+                         f"{have / 2**30:.1f} GiB of physical memory")
 
 
 def load_config(path: str | None, **overrides) -> ExperimentConfig:

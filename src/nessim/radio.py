@@ -59,15 +59,14 @@ class AntennaParams:
 
     g_max_dbi: float = 14.0       # azimuth pattern peak
     psi_3db_deg: float = 70.0     # azimuth half-power beamwidth
-    front_back_f_db: float = 20.0  # azimuth attenuation clamp
+    front_back_db: float = 20.0   # azimuth attenuation clamp
     theta_3db_deg: float = 65.0   # elevation half-power beamwidth
     elev_floor_db: float = 20.0   # elevation attenuation clamp
-    elev_peak_dbi: float = 0.0    # elevation pattern peak
 
     def __post_init__(self):
         if self.psi_3db_deg <= 0 or self.theta_3db_deg <= 0:
             raise ValueError("beamwidths must be > 0")
-        if self.front_back_f_db <= 0 or self.elev_floor_db <= 0:
+        if self.front_back_db <= 0 or self.elev_floor_db <= 0:
             raise ValueError("attenuation clamps must be > 0")
 
 
@@ -95,14 +94,14 @@ def distance_3d(gbs_pos: Position, h_k: float, mu_pos: Position, h_u: float) -> 
 
 def azimuth_gain_db(psi_azim_deg, p: AntennaParams):
     psi = np.asarray(psi_azim_deg, dtype=float)
-    att = np.minimum(12.0 * (psi / p.psi_3db_deg) ** 2, p.front_back_f_db)
+    att = np.minimum(12.0 * (psi / p.psi_3db_deg) ** 2, p.front_back_db)
     return p.g_max_dbi - att
 
 
 def elevation_gain_db(theta_elev_deg, tilt_deg, p: AntennaParams):
     off = np.asarray(theta_elev_deg, dtype=float) - np.asarray(tilt_deg, dtype=float)
     att = np.minimum(12.0 * (off / p.theta_3db_deg) ** 2, p.elev_floor_db)
-    return p.elev_peak_dbi - att
+    return -att
 
 
 def combined_gain_db(g: AngleGeometry, tilt_deg: float, p: AntennaParams) -> float:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,21 @@ from nessim.network import ConstraintConfig
 from nessim.radio import AntennaParams, ChannelParams
 
 
+# A wrong type, or a value too large for a float or for memory, in one field:
+# each message starts with that field's name.
+NAMED_CONFIGS = (
+    {"alpha": "x"},
+    {"k_gbs": "2"},
+    {"hidden_sizes": "ab"},
+    {"resample_on_reset": "false"},  # a truthy string: it must not turn resampling on
+    {"svg": "no"},
+    {"pathloss_mode": 3},
+    {"alpha": 10**400},  # an integer no float can hold
+    {"hidden_sizes": [10**400]},  # a DQN estimate no float can hold
+    {"mu_count": 10**12},  # refused before any user is drawn
+    {"mu_grid": [10**12]},
+)
+
 # Configs that break one rule each; the CLI exits 2 on every one. The last one
 # is refused by the memory estimate.
 BAD_CONFIGS = (
@@ -47,6 +63,7 @@ BAD_CONFIGS = (
     {"mu_grid": [-3]},
     {"mu_grid": 5},
     {"rician_k": 3.0, "iterations": 0},  # not a field: the rate is the K = 0 form
+    {"elev_peak_dbi": 3.0, "iterations": 0},  # not a field: g_max_dbi is the one peak
     {"seed": -2},
     {"iterations": 2.5},
     {"mu_count": 2.5},
@@ -68,7 +85,7 @@ BAD_CONFIGS = (
     {"rx_gain_dbi": float("inf")},
     {"distance_grid": [float("inf")]},
     {"rsrp_threshold_dbm": float("inf")},
-    {"alpha": 10**400},  # an integer no float can hold
+    *NAMED_CONFIGS,
     {"k_gbs": 2, "off_ids": [], "hidden_sizes": [4096, 4096]},  # > 100 GiB of DQN
 )
 
@@ -161,6 +178,33 @@ class TestExperimentConfig:
         for f in dataclasses.fields(ConstraintConfig):
             if f.name not in derived:
                 assert getattr(built, f.name) == f.default, f.name
+
+    def test_annotations_are_the_schema(self):
+        # The type pass knows every annotation, and each part field is the
+        # same-named config field or one that its builder derives.
+        config = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+        assert set(config.values()) <= harness._SCALARS.keys() | harness._TUPLES.keys()
+        derived = {"sigma2", "rx_gain", "pi_thresh", "pi_k_max"}
+        for part in (dqn.AgentConfig, AntennaParams, ChannelParams, ConstraintConfig):
+            for f in dataclasses.fields(part):
+                assert f.name in derived or config.get(f.name) == f.type, (part.__name__, f.name)
+
+    def test_messages_name_the_field(self):
+        for values in NAMED_CONFIGS:
+            with pytest.raises(ConfigError) as info:
+                ExperimentConfig(**values)
+            (name,) = values
+            assert str(info.value).startswith(name), info.value
+
+    def test_huge_k_gbs_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="controllable sectors exceed"):
+                ExperimentConfig(k_gbs=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_accepted_values(self):
         # Float fields take integers, integer fields numpy integers, and a

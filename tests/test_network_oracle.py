@@ -70,7 +70,7 @@ class ReferenceGeometry:
         self.theta_elev = np.degrees(np.arctan2(dz, d2d))
         bearing = np.degrees(np.arctan2(dy, dx))
         psi = wrap_deg(bearing[:, :, None] - np.array(SECTOR_BORESIGHTS_DEG)[None, None, :])
-        az_att = np.minimum(12.0 * (psi / ap.psi_3db_deg) ** 2, ap.front_back_f_db)
+        az_att = np.minimum(12.0 * (psi / ap.psi_3db_deg) ** 2, ap.front_back_db)
         self.az_gain_db = ap.g_max_dbi - az_att
         self.pathloss = self.d3d ** (-ch.alpha)
         self.active = np.array([g.active for g in gbss], dtype=bool)
@@ -81,7 +81,7 @@ class ReferenceGeometry:
         ap, ch = self.ap, self.ch
         el_off = self.theta_elev[:, :, None] - tilts_deg[None, :, :]
         el_att = np.minimum(12.0 * (el_off / ap.theta_3db_deg) ** 2, ap.elev_floor_db)
-        gain_db = self.az_gain_db + ap.elev_peak_dbi - el_att
+        gain_db = self.az_gain_db - el_att
         p_tx = 10.0 ** (powers_dbm / 10.0) * 1e-3
         rx = p_tx[None, :, :] * self.pathloss[:, :, None] * 10.0 ** (gain_db / 10.0) * ch.rx_gain
         rx[:, ~self.active, :] = 0.0
@@ -237,13 +237,9 @@ def drops(draw):
         alpha=draw(st.sampled_from([2.0, 3.0, 3.5])),
         pathloss_mode=draw(st.sampled_from(["literal", "single"])),
     )
-    # The array path adds the azimuth gain to radio.elevation_gain_db's
-    # (peak - attenuation); the reference adds (azimuth + peak) - attenuation.
-    # Both round alike only for a 0 dBi elevation peak, the default.
     ap = draw(st.sampled_from([
         AntennaParams(), AntennaParams(theta_3db_deg=6.5, elev_floor_db=30.0),
     ]))
-    assert ap.elev_peak_dbi == 0.0
     return gbss, mus, tilts, powers, cfg, ch, ap
 
 

@@ -114,8 +114,8 @@ class TestGains:
     @settings(max_examples=200)
     def test_peak_and_floor_bounds(self, psi, theta, tilt):
         g = combined_gain_db(AngleGeometry(theta, psi), tilt, AP)
-        assert g <= AP.g_max_dbi + AP.elev_peak_dbi + 1e-12
-        assert g >= AP.g_max_dbi - AP.front_back_f_db + AP.elev_peak_dbi - AP.elev_floor_db - 1e-12
+        assert g <= AP.g_max_dbi + 1e-12
+        assert g >= AP.g_max_dbi - AP.front_back_db - AP.elev_floor_db - 1e-12
 
 
 class TestRicianFading:
