@@ -19,20 +19,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", help="output directory")
     p.add_argument("--iterations", type=int, help="override training iterations")
-    p.add_argument("--svg", action="store_true", help="also emit SVG charts")
+    p.add_argument("--svg", action="store_const", const=True, help="also emit SVG charts")
     p.add_argument("--pathloss-mode", choices=["literal", "single"], dest="pathloss_mode")
-
-
-def _load(args) -> harness.ExperimentConfig:
-    overrides = {
-        "seed": args.seed,
-        "out_dir": args.out,
-        "iterations": args.iterations,
-        "pathloss_mode": args.pathloss_mode,
-    }
-    if args.svg:
-        overrides["svg"] = True
-    return harness.load_config(args.config, **overrides)
 
 
 def cmd_train(cfg: harness.ExperimentConfig) -> int:
@@ -110,12 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return COMMANDS[args.command][1](cfg)
+        # Overflowing or NaN-making arithmetic raises instead of writing wrong
+        # numbers. numpy's error state is per thread: Adam's worker runs without it.
+        with np.errstate(over="raise", invalid="raise"):
+            cfg = harness.load_config(
+                args.config, seed=args.seed, out_dir=args.out, iterations=args.iterations,
+                svg=args.svg, pathloss_mode=args.pathloss_mode,
+            )
+            return COMMANDS[args.command][1](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

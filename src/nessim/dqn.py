@@ -15,6 +15,7 @@ from .metrics import MetricsLog
 CHECKPOINT_MAGIC = b"QNET"
 CHECKPOINT_VERSION = 1
 AVG_WINDOW = 200  # iterations in training.csv's running average reward
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 class DimensionMismatch(ValueError):
@@ -201,9 +202,6 @@ class ReplayBuffer:
         self.idx = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample_indices(self, batch: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, self.size, batch)
-
 
 def td_targets(
     target_net: Mlp, rewards: np.ndarray, next_states: np.ndarray, dones: np.ndarray, zeta: float
@@ -212,16 +210,16 @@ def td_targets(
     return rewards + zeta * (~dones) * q_next
 
 
-def _adam_pass(m, v, grad, params, step, denom, beta1, beta2, eps, lr, bc1, bc2) -> None:
+def _adam_pass(m, v, grad, params, step, denom, lr, bc1, bc2) -> None:
     """Adam's element-wise update of one slice of the flat vectors, in place,
     with the rounding of the textbook expressions m = b1*m + (1-b1)*g,
     v = b2*v + ((1-b2)*g)*g and params -= lr*(m/bc1) / (sqrt(v/bc2) + eps):
     the operations run in that order, and none is folded into another (no
     lr/bc1). `step` and `denom` are scratch."""
-    m *= beta1
-    m += np.multiply(grad, 1.0 - beta1, out=step)
-    v *= beta2
-    np.multiply(grad, 1.0 - beta2, out=step)
+    m *= ADAM_BETA1
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
+    v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
     v += np.multiply(step, grad, out=step)
     if bc1 == 1.0:  # beta1**t under half an ulp of 1 (t >= 356 at 0.9): m / bc1 is m
         np.multiply(m, lr, out=step)
@@ -230,7 +228,7 @@ def _adam_pass(m, v, grad, params, step, denom, beta1, beta2, eps, lr, bc1, bc2)
         step *= lr
     np.divide(v, bc2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     step /= denom
     params -= step
 
@@ -244,8 +242,7 @@ class AdamState:
     vector. The worker starts on the first update; `close`, or leaving a
     `with` block, ends it."""
 
-    def __init__(self, net: Mlp, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, net: Mlp):
         self.t = 0
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
@@ -265,10 +262,10 @@ class AdamState:
                 f"params {net.params.shape}"
             )
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         vectors = (self.m, self.v, grad, net.params, self._step, self._denom)
-        scalars = (self.beta1, self.beta2, self.eps, lr, bc1, bc2)
+        scalars = (lr, bc1, bc2)
         cut = self._cut
         upper = self._worker.submit(_adam_pass, *(a[cut:] for a in vectors), *scalars)
         try:
@@ -307,7 +304,7 @@ def train_step(
         raise InsufficientData(
             f"buffer has {buffer.size} < required {max(cfg.batch_size, cfg.warmup)}"
         )
-    idx = buffer.sample_indices(cfg.batch_size, rng)
+    idx = rng.integers(0, buffer.size, cfg.batch_size)
     targets = td_targets(
         target_net, buffer.rewards[idx], buffer.next_states[idx], buffer.dones[idx], cfg.zeta
     )
@@ -334,15 +331,11 @@ def network_sizes(s_count: int, hidden_sizes: tuple[int, ...]) -> list[int]:
     return [2 * s_count, *hidden_sizes, action_space_size(s_count)]
 
 
-def build_network(scn_sector_count: int, cfg: AgentConfig, rng: np.random.Generator) -> Mlp:
-    return Mlp(network_sizes(scn_sector_count, cfg.hidden_sizes), rng)
-
-
 def train(
     env: NesEnv, cfg: AgentConfig, total_iterations: int, rng: np.random.Generator
 ) -> tuple[Mlp, MetricsLog]:
     scn = env.scn
-    net = build_network(scn.sector_count, cfg, rng)
+    net = Mlp(network_sizes(scn.sector_count, cfg.hidden_sizes), rng)
     target = net.copy()
     buffer = ReplayBuffer(cfg.buffer_capacity, 2 * scn.sector_count)
     log = MetricsLog()

@@ -29,7 +29,7 @@ SECTOR_LIMIT = 6  # controllable sectors, so at most 9**6 joint actions
 
 @dataclass(frozen=True)
 class Scenario:
-    gbss: list[Gbs]
+    gbss: tuple[Gbs, ...]  # immutable, so envs that share a scenario share no mutable station
     mu_count: int
     constraints: ConstraintConfig
     channel: ChannelParams

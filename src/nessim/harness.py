@@ -126,8 +126,8 @@ class ExperimentConfig:
         return cls(**{name: getattr(self, name) for name in names}, **derived)
 
     def channel(self) -> ChannelParams:
-        return self._part(ChannelParams, sigma2=dbm_to_watts(self.sigma2_dbm),
-                          rx_gain=float(db_to_linear(self.rx_gain_dbi)))
+        return self._part(ChannelParams, sigma2=_linear("sigma2_dbm", dbm_to_watts, self.sigma2_dbm),
+                          rx_gain=_linear("rx_gain_dbi", db_to_linear, self.rx_gain_dbi))
 
     def antenna(self) -> AntennaParams:
         return self._part(AntennaParams)
@@ -171,6 +171,16 @@ def _typed(name: str, kind: str, value):
     return tuple(value) if plural else value
 
 
+def _linear(name: str, to_linear, db: float) -> float:
+    """`to_linear(db)`, the field `name` in linear units, as a float; a value
+    outside a float's range raises `ValueError`, whatever numpy's error state."""
+    with np.errstate(over="ignore"):
+        value = float(to_linear(db))
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name}: {db:g} is outside a float's range in linear units")
+    return value
+
+
 def _admit(name: str, what: str, need: int) -> None:
     """Refuse `what` when the `need` bytes it takes exceed physical memory. A
     huge need prints as a power of ten: it may be past a float's range."""
@@ -186,9 +196,10 @@ def load_config(path: str | None, **overrides) -> ExperimentConfig:
     values: dict = {}
     if path is not None:
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 values = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: not UTF-8, not JSON or a huge integer; RecursionError: nested too deep.
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(values, dict):
             raise ConfigError("config root must be a JSON object")
@@ -211,10 +222,10 @@ def _lattice_positions(k: int, spacing: float) -> list[Position]:
 
 
 def generate_scenario(cfg: ExperimentConfig, rng: np.random.Generator) -> Scenario:
-    gbss = [
+    gbss = tuple(
         Gbs(id=i, position=pos, height=10.0, active=i not in cfg.off_ids)
         for i, pos in enumerate(_lattice_positions(cfg.k_gbs, cfg.inter_site_m))
-    ]
+    )
     return Scenario(
         gbss=gbss,
         mu_count=cfg.mu_count,
@@ -253,7 +264,6 @@ EVAL_WINDOW = 10  # terminal steps of each episode that enter the average
 
 def evaluate_policy(policy, scn: Scenario, episodes: int, rng: np.random.Generator) -> EvalSummary:
     env = NesEnv(scn, rng)
-    window = max(1, min(EVAL_WINDOW, scn.horizon))
     rewards = []
     served = []
     for _ in range(episodes):
@@ -266,8 +276,8 @@ def evaluate_policy(policy, scn: Scenario, episodes: int, rng: np.random.Generat
             result = env.step(action)
             tail_rewards.append(result.reward)
             tail_served.append(result.served_count)
-        rewards.extend(tail_rewards[-window:])
-        served.extend(tail_served[-window:])
+        rewards.extend(tail_rewards[-EVAL_WINDOW:])
+        served.extend(tail_served[-EVAL_WINDOW:])
     mean_reward = float(np.mean(rewards)) if rewards else 0.0
     served_frac = float(np.mean(served)) / scn.mu_count if served and scn.mu_count else 0.0
     per_mu = mean_reward / scn.mu_count if scn.mu_count else 0.0
@@ -352,8 +362,6 @@ def run_sweep(spec: SweepSpec, cfg: ExperimentConfig, rng: np.random.Generator) 
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return f"{x:.9g}"
 
 
@@ -399,8 +407,9 @@ def _svg_polyline(points: list[tuple[float, float]], color: str) -> str:
     return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{coords}"/>'
 
 
-def write_training_svg(log: MetricsLog, path, width=800, height=400, margin=40) -> None:
+def write_training_svg(log: MetricsLog, path) -> None:
     """Reward and moving-average curves; byte-deterministic output."""
+    width, height, margin = 800, 400, 40  # px
     rewards = log.rewards()
     avg = [r.avg_reward for r in log.rows]
     parts = [
@@ -427,8 +436,10 @@ def write_training_svg(log: MetricsLog, path, width=800, height=400, margin=40) 
     _write_text(path, "\n".join(parts) + "\n")
 
 
-def write_sweep_svg(rows: list[SweepRow], path, width=800, height=400, margin=50) -> None:
-    """Per-policy mean-reward bars grouped by grid value; deterministic."""
+def write_sweep_svg(rows: list[SweepRow], path) -> None:
+    """Per-policy mean-reward bars grouped by grid value; deterministic. The
+    rows are `run_sweep`'s: a dqn, random and max row for every grid value."""
+    width, height, margin = 800, 400, 50  # px
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -444,14 +455,12 @@ def write_sweep_svg(rows: list[SweepRow], path, width=800, height=400, margin=50
         lookup = {(r.value, r.policy): r.mean_reward for r in rows}
         for gi, v in enumerate(values):
             for pi, p in enumerate(policies):
-                reward = lookup.get((v, p), 0.0)
-                h = (height - 2 * margin) * reward / top
+                h = (height - 2 * margin) * lookup[(v, p)] / top
                 x = margin + gi * group_w + pi * bar_w
                 y = height - margin - h
-                color = colors.get(p, "#636363")
                 parts.append(
                     f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
-                    f'height="{h:.2f}" fill="{color}"/>'
+                    f'height="{h:.2f}" fill="{colors[p]}"/>'
                 )
             parts.append(
                 f'<text x="{margin + gi * group_w:.2f}" y="{height - margin + 15}" '

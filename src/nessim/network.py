@@ -27,7 +27,7 @@ TILT_MAX_DEG = 14.0
 MU_HEIGHT_M = 1.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gbs:
     id: int
     position: Position
@@ -122,7 +122,7 @@ def _value_range(values: np.ndarray) -> tuple[float, float]:
 
 def _offsets(gbss: list[Gbs], mu_x: np.ndarray, mu_y: np.ndarray):
     """(U, K) x, y and height offsets from each MU to each of the K `gbss`."""
-    gx, gy, gh = np.array([(g.position.x, g.position.y, g.height) for g in gbss]).reshape(-1, 3).T
+    gx, gy, gh = np.array([(g.position.x, g.position.y, g.height) for g in gbss]).T
     # A full (U, K) dz like dx: numpy may run another SIMD loop on a broadcast one.
     return mu_x[:, None] - gx, mu_y[:, None] - gy, gh - np.full((len(mu_x), 1), MU_HEIGHT_M)
 
@@ -146,7 +146,8 @@ class RadioGeometry:
 
     An off GBS radiates nothing, so the link arrays (`d3d`, `theta_elev`,
     `az_gain_db`, `pathloss`) and `gbs_ids`/`n_gbs` cover the active GBSs
-    only, in `gbss` order. Off GBSs enter only `check_constraints`.
+    only, in `gbss` order. Off GBSs enter only `check_constraints`. At least
+    one GBS must be active.
     """
 
     def __init__(
@@ -159,8 +160,9 @@ class RadioGeometry:
         ch: ChannelParams,
         ap: AntennaParams,
     ):
-        if not gbss:
-            raise ValueError("at least one GBS required")
+        active = [g for g in gbss if g.active]
+        if not active:
+            raise ValueError("at least one active GBS required")
         self.gbss, self.ch, self.ap = gbss, ch, ap
         ux = np.asarray(mu_x, dtype=float)
         uy = np.asarray(mu_y, dtype=float)
@@ -168,7 +170,6 @@ class RadioGeometry:
         self.mu_x, self.mu_y = ux, uy
         self.rate_thresholds = np.broadcast_to(np.asarray(rate_thresholds, dtype=float), ux.shape)
         self.rsrp_thresholds = np.broadcast_to(np.asarray(rsrp_thresholds, dtype=float), ux.shape)
-        active = [g for g in gbss if g.active]
         self.gbs_ids = np.array([g.id for g in active], dtype=np.int64)
         self.n_gbs = len(active)
 
@@ -200,17 +201,11 @@ def associate_cached(geom: RadioGeometry, tilts_deg, powers_dbm, cfg: Constraint
     tilts = np.asarray(tilts_deg, float)
     powers = np.asarray(powers_dbm, float)
     n = geom.n_mu
-    if n == 0 or geom.n_gbs == 0:
-        off = np.zeros(n, dtype=bool)
-        return Assignment(
-            np.full(n, -1), np.full(n, -1), off, off.copy(), off.copy(), np.zeros(n), tilts, powers,
-        )
-
     rx = geom.mean_rx_power(tilts, powers)
     best_rx = rx.max(axis=2)                                  # (U, K)
 
     # Tentative attach: argmax over (gbs, sector), lowest index wins on ties.
-    flat = rx.reshape(n, -1)
+    flat = rx.reshape(n, 3 * geom.n_gbs)  # -1 cannot be inferred for n = 0
     cand = np.argmax(flat, axis=1)
     cand_gbs = cand // 3
     cand_sector = cand % 3

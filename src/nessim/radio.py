@@ -111,19 +111,17 @@ def combined_gain_db(g: AngleGeometry, tilt_deg: float, p: AntennaParams) -> flo
     )
 
 
-def sample_rician_power(k_factor: float, rng: np.random.Generator, size=None):
-    """Draw |h|^2 for unit-mean Rician fading; `size=None` gives a scalar."""
+def sample_rician_power(k_factor: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw `size` values of |h|^2 for unit-mean Rician fading."""
     if k_factor < 0:
         raise ValueError("k_factor must be >= 0")
-    if math.isinf(k_factor):
-        return 1.0 if size is None else np.ones(size)
-    n = 1 if size is None else size
-    phase = rng.uniform(0.0, 2.0 * math.pi, n)
-    scatter = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+    if math.isinf(k_factor):  # pure line of sight; the formula below would give NaN
+        return np.ones(size)
+    phase = rng.uniform(0.0, 2.0 * math.pi, size)
+    scatter = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
     los = math.sqrt(k_factor / (k_factor + 1.0)) * np.exp(1j * phase)
     h = los + math.sqrt(1.0 / (k_factor + 1.0)) * scatter
-    power = np.abs(h) ** 2
-    return float(power[0]) if size is None else power
+    return np.abs(h) ** 2
 
 
 def sinr(signal_rx, interferer_rx, d3d, ch: ChannelParams):

@@ -19,10 +19,10 @@ from nessim.dqn import (
     Mlp,
     ReplayBuffer,
     backprop,
-    build_network,
     epsilon_at,
     forward,
     load_checkpoint,
+    network_sizes,
     save_checkpoint,
     select_action,
     sync_target,
@@ -242,7 +242,7 @@ class TestTrainStep:
             fill_buffer(buf, 40, 2, rng, done_every=5)
             cfg = AgentConfig(batch_size=8, warmup=8)
             target = net.copy()
-            idx = buf.sample_indices(cfg.batch_size, np.random.default_rng(trial + 100))
+            idx = np.random.default_rng(trial + 100).integers(0, buf.size, cfg.batch_size)
 
             def loss_at(params_net):
                 q = params_net.forward_batch(buf.states[idx])
@@ -375,7 +375,7 @@ class ListAdam:
 
 
 def list_train_step(net, target_net, buffer, cfg, rng, adam):
-    idx = buffer.sample_indices(cfg.batch_size, rng)
+    idx = rng.integers(0, buffer.size, cfg.batch_size)
     states = buffer.states[idx]
     actions = buffer.actions[idx]
     rewards = buffer.rewards[idx]
@@ -679,7 +679,7 @@ class TestTrainLoop:
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(9)
-        net = build_network(3, AgentConfig(), rng)
+        net = Mlp(network_sizes(3, AgentConfig().hidden_sizes), rng)
         path = tmp_path / "net.bin"
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
@@ -688,7 +688,7 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
 
     def test_files_byte_identical(self, tmp_path):
-        net = build_network(2, AgentConfig(), np.random.default_rng(10))
+        net = Mlp(network_sizes(2, AgentConfig().hidden_sizes), np.random.default_rng(10))
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_checkpoint(net, p1)
         save_checkpoint(net, p2)
@@ -711,7 +711,7 @@ class TestCheckpointFuzz:
     @pytest.fixture(scope="class")
     def valid(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("ckpt") / "valid.bin"
-        save_checkpoint(build_network(1, AgentConfig(hidden_sizes=(4,)), np.random.default_rng(0)), path)
+        save_checkpoint(Mlp(network_sizes(1, (4,)), np.random.default_rng(0)), path)
         return path.read_bytes()
 
     @pytest.fixture(scope="class")

@@ -46,6 +46,9 @@ NAMED_CONFIGS = (
     {"hidden_sizes": [10**400]},  # a DQN estimate no float can hold
     {"mu_count": 10**12},  # refused before any user is drawn
     {"mu_grid": [10**12]},
+    {"sigma2_dbm": 1e308},  # finite in dBm, infinite in watts
+    {"rx_gain_dbi": 1e308},
+    {"sigma2_dbm": -1e308},  # zero in watts
 )
 
 # Configs that break one rule each; the CLI exits 2 on every one. The last one
@@ -126,6 +129,14 @@ class TestGenerateScenario:
         assert scn.constraints.pi_thresh == 8
         assert scn.constraints.pi_k_max == 30
 
+    def test_stations_immutable(self):
+        # Envs that share a scenario share its stations, so none may change.
+        scn = generate_scenario(tiny_cfg(k_gbs=2, off_ids=(1,)), np.random.default_rng(0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scn.gbss[0].active = False
+        with pytest.raises(TypeError):
+            scn.gbss[0] = scn.gbss[1]
+
     def test_lattice_spacing(self):
         scn = generate_scenario(tiny_cfg(k_gbs=2, off_ids=(1,), inter_site_m=500.0),
                                 np.random.default_rng(0))
@@ -158,6 +169,16 @@ class TestLoadConfig:
         p = tmp_path / "config.json"
         p.write_text(json.dumps({"seed": 1}))
         assert load_config(str(p), seed=9).seed == 9
+
+    def test_unreadable_file(self, tmp_path):
+        # A JSON integer past Python's 4300-digit limit, bytes that are not
+        # UTF-8, and arrays nested past the parser's recursion limit.
+        p = tmp_path / "config.json"
+        for data in (b'{"seed": 1' + b"0" * 5000 + b"}", b'{"seed": "\xff\xfe"}',
+                     b"[" * 100_000 + b"]" * 100_000):
+            p.write_bytes(data)
+            with pytest.raises(ConfigError, match="cannot read config"):
+                load_config(str(p))
 
     def test_bad_configs_fail_at_load(self, tmp_path):
         p = tmp_path / "config.json"
@@ -407,6 +428,34 @@ class TestCli:
         assert r.stderr == "config error: p_max_dbm: must be finite\n"
         assert not (tmp_path / "out" / "eval.csv").exists()
 
+    def test_unreadable_config_exit_code(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"seed": "\xff\xfe"}')
+        r = self.run_cli("eval", "--config", str(p), "--out", str(tmp_path / "out"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("config error: cannot read config"), r.stderr
+
+    @pytest.mark.parametrize("values, code", [
+        ({"sigma2_dbm": 1e308}, 2),
+        ({"rx_gain_dbi": 1e308}, 2),
+        ({"p_max_dbm": 1e308}, 3),
+        ({"g_max_dbi": 1e308}, 3),
+        ({"alpha": 400.0}, 3),
+    ])
+    def test_overflowing_physics_exit_code(self, tmp_path, values, code):
+        # Each value is finite, but the power, gain or path loss it gives is
+        # not: without the checks, eval would exit 0 and write zero rewards.
+        p = tmp_path / "ovf.json"
+        p.write_text(json.dumps({**values, "iterations": 0, "eval_episodes": 1, "horizon": 3}))
+        r = self.run_cli("eval", "--config", str(p), "--out", str(tmp_path / "out"))
+        assert r.returncode == code, r.stderr
+        (line,) = r.stderr.splitlines()  # no numpy warning, no traceback
+        if code == 2:
+            assert line.startswith(f"config error: {next(iter(values))}: "), line
+        else:
+            assert line.startswith("runtime error: overflow"), line
+        assert not (tmp_path / "out" / "eval.csv").exists()
+
     def test_unknown_field_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"zzz": 1}))
@@ -432,7 +481,7 @@ class TestCli:
     def test_corrupt_checkpoint_exit_code(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        net = dqn.build_network(3, dqn.AgentConfig(), np.random.default_rng(0))
+        net = dqn.Mlp(dqn.network_sizes(3, dqn.AgentConfig().hidden_sizes), np.random.default_rng(0))
         dqn.save_checkpoint(net, out / "checkpoint.bin")
         data = (out / "checkpoint.bin").read_bytes()
         (out / "checkpoint.bin").write_bytes(data[: len(data) // 2])
@@ -448,6 +497,13 @@ class TestCli:
         text = (out / "sweep.csv").read_text()
         assert text.startswith("sweep,value,policy,")
         assert "distance_band,100," in text
+
+    def test_svg_from_config(self, tmp_path):
+        # "svg": true in the file is enough; without --svg the flag sets nothing.
+        out = tmp_path / "out"
+        r = self.run_cli("train", "--config", self.cfg_file(tmp_path, svg=True), "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        assert (out / "training.svg").exists()
 
     def test_pathloss_mode_flag(self, tmp_path):
         out = tmp_path / "out"

@@ -145,15 +145,14 @@ class TestGeometry:
             associate_cached(geom, tilts, powers, make_cfg())
 
 
-class TestAssociate:
-    def test_all_off_unserved(self):
-        gbss = [make_gbs(0, active=False), make_gbs(1, x=500.0, active=False)]
-        a = associate(gbss, [100.0, 300.0], make_cfg())
-        assert np.all(a.serving_gbs == -1) and np.all(a.serving_sector == -1)
-        assert not any(a.vartheta.values())
-        assert not any(a.pi_ind.values())
-        assert a.served_count() == 0
+    def test_all_off_refused(self):
+        # No config builds such a network, and an env could take no action in it.
+        for gbss in ([], [make_gbs(0, active=False), make_gbs(1, x=500.0, active=False)]):
+            with pytest.raises(ValueError, match="active GBS"):
+                make_geometry(gbss, [100.0, 300.0])
 
+
+class TestAssociate:
     def test_single_served_pair(self):
         a = associate([make_gbs()], [80.0], make_cfg(), power=40.0)
         assert a.serving_gbs[0] == 0

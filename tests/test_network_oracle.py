@@ -7,6 +7,7 @@ sector settings one by one, and the objective folded left to right over dicts.
 The array path must reproduce it exactly, bit for bit, on hypothesis-drawn drops.
 """
 
+import dataclasses
 import functools
 import math
 import operator
@@ -207,6 +208,8 @@ def drops(draw):
         )
         for k in range(n_gbs)
     ]
+    if not any(g.active for g in gbss):  # a network keeps one station on
+        gbss[0] = dataclasses.replace(gbss[0], active=True)
     n_mu = draw(st.integers(0, 20))  # np.sum would add 8 or more terms pairwise
     mus = []
     for _ in range(n_mu):
@@ -268,7 +271,7 @@ def test_array_path_matches_per_user_reference(case):
     # The array path takes sector settings for the active GBSs only; the
     # reference takes them for every GBS and zeroes the off ones' power.
     active = ref_geom.active
-    if mus and geom.n_gbs:
+    if mus:
         ref_rx = ref_geom.mean_rx_power(tilts, powers)
         assert np.array_equal(geom.mean_rx_power(tilts[active], powers[active]), ref_rx[:, active])
         assert not ref_rx[:, ~active].any()

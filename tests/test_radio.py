@@ -120,7 +120,7 @@ class TestGains:
 
 class TestRicianFading:
     def test_pure_los_limit(self):
-        assert sample_rician_power(math.inf, np.random.default_rng(0)) == 1.0
+        assert sample_rician_power(math.inf, np.random.default_rng(0), 5).tolist() == [1.0] * 5
 
     def test_unit_mean_rayleigh(self):
         draws = sample_rician_power(0.0, np.random.default_rng(1), size=1_000_000)
@@ -140,7 +140,7 @@ class TestRicianFading:
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            sample_rician_power(-1.0, np.random.default_rng(0))
+            sample_rician_power(-1.0, np.random.default_rng(0), 5)
 
 
 class TestReceivedPower:
