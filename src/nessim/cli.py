@@ -58,7 +58,7 @@ def _cmd_sweep(cfg: harness.ExperimentConfig, kind: str) -> int:
     if cfg.svg:
         harness.write_sweep_svg(rows, os.path.join(cfg.out_dir, "sweep.svg"))
     for r in rows:
-        print(f"{r.kind}={r.value:g} {r.policy}: mean reward {r.mean_reward:.4g}")
+        print(f"{r.sweep}={r.value:g} {r.policy}: mean reward {r.mean_reward:.4g}")
     return 0
 
 
@@ -98,8 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Overflowing or NaN-making arithmetic raises instead of writing wrong
-        # numbers. numpy's error state is per thread: Adam's worker runs without it.
+        # Overflowing or NaN-making arithmetic raises instead of writing wrong numbers.
         with np.errstate(over="raise", invalid="raise"):
             cfg = harness.load_config(
                 args.config, seed=args.seed, out_dir=args.out, iterations=args.iterations,

@@ -1,16 +1,17 @@
 """From-scratch deep Q-learning: numpy multilayer perceptron with reverse-mode
-gradients, adaptive-moment updates, FIFO replay, epsilon-greedy control."""
+gradients, adaptive-moment updates, FIFO replay, epsilon-greedy control, and
+the per-iteration training log."""
 
 from __future__ import annotations
 
+import contextvars
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .env import EnvAction, NesEnv, action_space_size, encode_features
-from .metrics import MetricsLog
 
 CHECKPOINT_MAGIC = b"QNET"
 CHECKPOINT_VERSION = 1
@@ -267,7 +268,11 @@ class AdamState:
         vectors = (self.m, self.v, grad, net.params, self._step, self._denom)
         scalars = (lr, bc1, bc2)
         cut = self._cut
-        upper = self._worker.submit(_adam_pass, *(a[cut:] for a in vectors), *scalars)
+        # The worker runs in a copy of the caller's context, so under numpy's
+        # error state (a context variable) too.
+        upper = self._worker.submit(
+            contextvars.copy_context().run, _adam_pass, *(a[cut:] for a in vectors), *scalars
+        )
         try:
             _adam_pass(*(a[:cut] for a in vectors), *scalars)
         finally:
@@ -327,6 +332,24 @@ def sync_target(net: Mlp, target_net: Mlp) -> None:
     target_net.copy_from(net)
 
 
+@dataclass
+class MetricsRow:
+    iteration: int
+    reward: float
+    avg_reward: float
+    loss: float
+    epsilon: float
+    served: int
+
+
+@dataclass
+class MetricsLog:
+    rows: list[MetricsRow] = field(default_factory=list)
+
+    def rewards(self) -> list[float]:
+        return [r.reward for r in self.rows]
+
+
 def network_sizes(s_count: int, hidden_sizes: tuple[int, ...]) -> list[int]:
     return [2 * s_count, *hidden_sizes, action_space_size(s_count)]
 
@@ -361,7 +384,7 @@ def train(
             if t >= AVG_WINDOW:
                 window_sum -= log.rows[t - AVG_WINDOW].reward
             avg = window_sum / min(t + 1, AVG_WINDOW)
-            log.add_row(t, result.reward, avg, loss, eps, result.served_count)
+            log.rows.append(MetricsRow(t, result.reward, avg, loss, eps, result.served_count))
 
             if result.done:
                 state = env.reset()

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -14,7 +15,6 @@ import numpy as np
 
 from . import baselines, dqn
 from .env import SECTOR_LIMIT, EnvAction, NesEnv, Scenario, action_space_size, encode_features
-from .metrics import EvalSummary, MetricsLog
 from .network import ConstraintConfig, Gbs
 from .radio import AntennaParams, ChannelParams, Position, db_to_linear, dbm_to_watts
 
@@ -222,6 +222,9 @@ def _lattice_positions(k: int, spacing: float) -> list[Position]:
 
 
 def generate_scenario(cfg: ExperimentConfig, rng: np.random.Generator) -> Scenario:
+    """The stations on their lattice and the parts of `cfg`. `rng` is unused:
+    the lattice comes from `cfg`. It stays because `tests/test_acceptance.py`
+    passes one."""
     gbss = tuple(
         Gbs(id=i, position=pos, height=10.0, active=i not in cfg.off_ids)
         for i, pos in enumerate(_lattice_positions(cfg.k_gbs, cfg.inter_site_m))
@@ -259,6 +262,14 @@ def make_random_policy():
     return policy
 
 
+@dataclass
+class EvalSummary:
+    policy: str
+    mean_reward: float
+    reward_per_mu: float
+    served_fraction: float
+
+
 EVAL_WINDOW = 10  # terminal steps of each episode that enter the average
 
 
@@ -268,16 +279,13 @@ def evaluate_policy(policy, scn: Scenario, episodes: int, rng: np.random.Generat
     served = []
     for _ in range(episodes):
         env.reset()
-        tail_rewards = []
-        tail_served = []
-        for _ in range(scn.horizon):
+        for t in range(scn.horizon):
             features = encode_features(env.state, scn)
             action = policy(features, scn.sector_count, rng)
             result = env.step(action)
-            tail_rewards.append(result.reward)
-            tail_served.append(result.served_count)
-        rewards.extend(tail_rewards[-EVAL_WINDOW:])
-        served.extend(tail_served[-EVAL_WINDOW:])
+            if t >= scn.horizon - EVAL_WINDOW:
+                rewards.append(result.reward)
+                served.append(result.served_count)
     mean_reward = float(np.mean(rewards)) if rewards else 0.0
     served_frac = float(np.mean(served)) / scn.mu_count if served and scn.mu_count else 0.0
     per_mu = mean_reward / scn.mu_count if scn.mu_count else 0.0
@@ -294,7 +302,7 @@ def brute_force_best(env: NesEnv) -> tuple[int, float]:
     return best_a, best_r
 
 
-def train_agent(cfg: ExperimentConfig) -> tuple[Scenario, dqn.Mlp, MetricsLog]:
+def train_agent(cfg: ExperimentConfig) -> tuple[Scenario, dqn.Mlp, dqn.MetricsLog]:
     """Draw the scenario and train the DQN on it, both from `cfg.seed`."""
     scn = generate_scenario(cfg, np.random.default_rng(cfg.seed))
     env = NesEnv(scn, np.random.default_rng(cfg.seed))
@@ -336,7 +344,7 @@ def distance_band(value: float) -> tuple[float, float]:
 
 @dataclass
 class SweepRow:
-    kind: str
+    sweep: str
     value: float
     policy: str
     mean_reward: float
@@ -345,6 +353,9 @@ class SweepRow:
 
 
 def run_sweep(spec: SweepSpec, cfg: ExperimentConfig, rng: np.random.Generator) -> list[SweepRow]:
+    """Train and evaluate at every grid point, point i seeded `cfg.seed + i`.
+    `rng` is unused: the per-point seeds come from `cfg`. It stays because
+    `tests/test_acceptance.py` passes one."""
     rows = []
     for i, value in enumerate(spec.grid):
         if spec.kind == "mu_count":
@@ -355,51 +366,56 @@ def run_sweep(spec: SweepSpec, cfg: ExperimentConfig, rng: np.random.Generator) 
         point_cfg = dataclasses.replace(cfg, seed=cfg.seed + i, **point)
         scn, net, _ = train_agent(point_cfg)
         rows.extend(
-            SweepRow(spec.kind, float(value), s.policy, s.mean_reward, s.reward_per_mu, s.served_fraction)
-            for s in evaluate_policies(scn, net, point_cfg)
+            SweepRow(spec.kind, float(value), *dataclasses.astuple(summary))
+            for summary in evaluate_policies(scn, net, point_cfg)
         )
     return rows
 
 
+FLOAT_FORMAT = "{:.9g}"  # every float of a CSV table or a chart label
+SVG_WIDTH, SVG_HEIGHT = 800, 400  # px, both charts
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+    return FLOAT_FORMAT.format(x)
 
 
-TRAINING_HEADER = "iteration,reward,avg_reward,loss,epsilon,served"
-SWEEP_HEADER = "sweep,value,policy,mean_reward,reward_per_mu,served_fraction"
-EVAL_HEADER = "policy,mean_reward,reward_per_mu,served_fraction"
-
-
-def write_training_csv(log: MetricsLog, path) -> None:
-    _write_csv(path, TRAINING_HEADER, (
-        f"{r.iteration},{_fmt(r.reward)},{_fmt(r.avg_reward)},"
-        f"{_fmt(r.loss)},{_fmt(r.epsilon)},{r.served}"
-        for r in log.rows
-    ))
+def write_training_csv(log: dqn.MetricsLog, path) -> None:
+    _write_table(path, dqn.MetricsRow, log.rows)
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    _write_csv(path, SWEEP_HEADER, (
-        f"{r.kind},{_fmt(r.value)},{r.policy},{_fmt(r.mean_reward)},"
-        f"{_fmt(r.reward_per_mu)},{_fmt(r.served_fraction)}"
-        for r in rows
-    ))
+    _write_table(path, SweepRow, rows)
 
 
 def write_eval_csv(summaries: list[EvalSummary], path) -> None:
-    _write_csv(path, EVAL_HEADER, (
-        f"{s.policy},{_fmt(s.mean_reward)},{_fmt(s.reward_per_mu)},{_fmt(s.served_fraction)}"
-        for s in summaries
-    ))
+    _write_table(path, EvalSummary, summaries)
 
 
-def _write_csv(path, header: str, rows) -> None:
-    _write_text(path, "\n".join([header, *rows]) + "\n")
+def _write_table(path, cls, rows) -> None:
+    """Write `rows`, instances of the dataclass `cls`, as CSV under a header of
+    its field names: a field annotated `float` as `_fmt` writes it, any other
+    by `str`. `cls` has two fields or more, so `attrgetter` returns a tuple."""
+    fields = dataclasses.fields(cls)
+    line = ",".join(FLOAT_FORMAT if f.type == "float" else "{}" for f in fields).format
+    values = operator.attrgetter(*(f.name for f in fields))
+    _write_lines(path, [",".join(f.name for f in fields), *(line(*values(r)) for r in rows)])
 
 
-def _write_text(path, text: str) -> None:
+def _write_lines(path, lines: list[str]) -> None:
     with open(path, "w", newline="\n") as f:
-        f.write(text)
+        f.write("\n".join(lines) + "\n")
+
+
+def _write_svg(path, body: list[str]) -> None:
+    """Write a chart's `body` elements inside the SVG frame on a white background."""
+    _write_lines(path, [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
+        *body,
+        "</svg>",
+    ])
 
 
 def _svg_polyline(points: list[tuple[float, float]], color: str) -> str:
@@ -407,16 +423,12 @@ def _svg_polyline(points: list[tuple[float, float]], color: str) -> str:
     return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{coords}"/>'
 
 
-def write_training_svg(log: MetricsLog, path) -> None:
+def write_training_svg(log: dqn.MetricsLog, path) -> None:
     """Reward and moving-average curves; byte-deterministic output."""
-    width, height, margin = 800, 400, 40  # px
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, 40  # px
     rewards = log.rewards()
     avg = [r.avg_reward for r in log.rows]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+    parts = []
     if rewards:
         top = max(max(rewards), 1e-9)
         n = len(rewards)
@@ -432,19 +444,14 @@ def write_training_svg(log: MetricsLog, path) -> None:
             f'<text x="{margin}" y="{margin - 10}" font-size="12">'
             f"reward per iteration (light) and moving average (dark), max {_fmt(top)}</text>"
         )
-    parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    _write_svg(path, parts)
 
 
 def write_sweep_svg(rows: list[SweepRow], path) -> None:
     """Per-policy mean-reward bars grouped by grid value; deterministic. The
     rows are `run_sweep`'s: a dqn, random and max row for every grid value."""
-    width, height, margin = 800, 400, 50  # px
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, 50  # px
+    parts = []
     if rows:
         values = sorted({r.value for r in rows})
         policies = sorted({r.policy for r in rows})
@@ -466,5 +473,4 @@ def write_sweep_svg(rows: list[SweepRow], path) -> None:
                 f'<text x="{margin + gi * group_w:.2f}" y="{height - margin + 15}" '
                 f'font-size="11">{_fmt(v)}</text>'
             )
-    parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    _write_svg(path, parts)

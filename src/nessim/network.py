@@ -25,6 +25,8 @@ TILT_MIN_DEG = 0.0
 TILT_MAX_DEG = 14.0
 
 MU_HEIGHT_M = 1.5
+# A user drop squares d_min and d_max, so each must have a float square.
+DROP_DISTANCE_MAX_M = float(np.sqrt(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,9 @@ class ConstraintConfig:
             raise ValueError("p_min_dbm must be < p_max_dbm")
         if self.d_min >= self.d_max:
             raise ValueError("d_min must be < d_max")
+        for name in ("d_min", "d_max"):
+            if abs(getattr(self, name)) > DROP_DISTANCE_MAX_M:
+                raise ValueError(f"{name}: must be at most {DROP_DISTANCE_MAX_M:.9g} m in magnitude")
 
 
 @dataclass(eq=False)

@@ -527,6 +527,16 @@ class TestAdamThreads:
         assert (adam.t, adam.m.tobytes(), adam.v.tobytes(), net.params.tobytes()) == before
         adam.close()
 
+    def test_worker_keeps_caller_error_state(self):
+        # Only the worker's half overflows: it runs under the caller's numpy
+        # error state, so the update raises instead of leaving inf in v.
+        net = Mlp([3, 5, 4], np.random.default_rng(22))
+        with AdamState(net) as adam, np.errstate(over="raise"):
+            grad = np.zeros(net.params.size)
+            grad[adam._cut:] = 1e200
+            with pytest.raises(FloatingPointError):
+                adam.update(net, grad, 0.01)
+
     def test_close_twice_and_as_context(self):
         net = Mlp([3, 5, 4], np.random.default_rng(21))
         with AdamState(net) as adam:

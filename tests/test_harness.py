@@ -28,7 +28,7 @@ from nessim.harness import (
     write_training_csv,
     write_training_svg,
 )
-from nessim.metrics import MetricsLog
+from nessim.dqn import MetricsLog, MetricsRow
 from nessim.network import ConstraintConfig
 from nessim.radio import AntennaParams, ChannelParams
 
@@ -49,6 +49,8 @@ NAMED_CONFIGS = (
     {"sigma2_dbm": 1e308},  # finite in dBm, infinite in watts
     {"rx_gain_dbi": 1e308},
     {"sigma2_dbm": -1e308},  # zero in watts
+    {"d_max": 1e200},  # a user drop squares it
+    {"d_min": -1e200},
 )
 
 # Configs that break one rule each; the CLI exits 2 on every one. The last one
@@ -264,6 +266,24 @@ class TestEvaluatePolicy:
             s = evaluate_policy(policy, scn, 1, np.random.default_rng(0))
             assert s.mean_reward == 0.0
 
+    @pytest.mark.parametrize("horizon", [3, 10, 25])
+    def test_window_matches_every_step_reference(self, horizon):
+        # The reference keeps every step and averages each episode's last
+        # EVAL_WINDOW of them.
+        scn = generate_scenario(tiny_cfg(horizon=horizon), np.random.default_rng(0))
+        policy, rng = make_random_policy(), np.random.default_rng(9)
+        env, rewards, served = NesEnv(scn, rng), [], []
+        for _ in range(3):
+            env.reset()
+            steps = [env.step(policy(encode_features(env.state, scn), scn.sector_count, rng))
+                     for _ in range(horizon)]
+            rewards += [r.reward for r in steps[-harness.EVAL_WINDOW:]]
+            served += [r.served_count for r in steps[-harness.EVAL_WINDOW:]]
+        s = evaluate_policy(make_random_policy(), scn, 3, np.random.default_rng(9))
+        mean_reward = float(np.mean(rewards))
+        assert (s.mean_reward, s.reward_per_mu, s.served_fraction) == (
+            mean_reward, mean_reward / scn.mu_count, float(np.mean(served)) / scn.mu_count)
+
     def test_reward_per_mu(self):
         scn = generate_scenario(tiny_cfg(), np.random.default_rng(0))
         s = evaluate_policy(make_max_policy(), scn, 1, np.random.default_rng(0))
@@ -332,8 +352,8 @@ class TestOutputs:
 
     def test_byte_deterministic(self, tmp_path):
         log = MetricsLog()
-        log.add_row(0, 1.23456789012, 1.0, 0.5, 1.0, 3)
-        log.add_row(1, float("nan"), 2.0, float("nan"), 0.9, 4)
+        log.rows.append(MetricsRow(0, 1.23456789012, 1.0, 0.5, 1.0, 3))
+        log.rows.append(MetricsRow(1, float("nan"), 2.0, float("nan"), 0.9, 4))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_training_csv(log, p1)
         write_training_csv(log, p2)
@@ -342,7 +362,7 @@ class TestOutputs:
 
     def test_nine_significant_digits(self, tmp_path):
         log = MetricsLog()
-        log.add_row(0, 1.234567891234, 0.0, 0.0, 1.0, 0)
+        log.rows.append(MetricsRow(0, 1.234567891234, 0.0, 0.0, 1.0, 0))
         p = tmp_path / "t.csv"
         write_training_csv(log, p)
         assert "1.23456789," in p.read_text()
@@ -355,10 +375,27 @@ class TestOutputs:
         assert lines[0] == "sweep,value,policy,mean_reward,reward_per_mu,served_fraction"
         assert lines[1].startswith("mu_count,20,dqn,1.5,")
 
+    def test_rows_byte_for_byte(self, tmp_path):
+        # One row of each table: ints, strs, floats to 9 significant digits,
+        # nan and inf.
+        log = MetricsLog([MetricsRow(7, 0.1 + 0.2, float("inf"), float("nan"), 1.0, 12)])
+        write_training_csv(log, tmp_path / "training.csv")
+        assert (tmp_path / "training.csv").read_bytes() == (
+            b"iteration,reward,avg_reward,loss,epsilon,served\n7,0.3,inf,nan,1,12\n")
+        summary = harness.EvalSummary("max", 123456.789012, float("-inf"), 2 / 3)
+        harness.write_eval_csv([summary], tmp_path / "eval.csv")
+        assert (tmp_path / "eval.csv").read_bytes() == (
+            b"policy,mean_reward,reward_per_mu,served_fraction\nmax,123456.789,-inf,0.666666667\n")
+        row = harness.SweepRow("distance_band", 150.0, "dqn", float("nan"), 1e-12, 0.0)
+        write_sweep_csv([row], tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (
+            b"sweep,value,policy,mean_reward,reward_per_mu,served_fraction\n"
+            b"distance_band,150,dqn,nan,1e-12,0\n")
+
     def test_svg_deterministic(self, tmp_path):
         log = MetricsLog()
         for i in range(20):
-            log.add_row(i, float(i), i / 2.0, 0.1, 1.0, 1)
+            log.rows.append(MetricsRow(i, float(i), i / 2.0, 0.1, 1.0, 1))
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
         write_training_svg(log, p1)
         write_training_svg(log, p2)
@@ -441,6 +478,9 @@ class TestCli:
         ({"p_max_dbm": 1e308}, 3),
         ({"g_max_dbi": 1e308}, 3),
         ({"alpha": 400.0}, 3),
+        ({"d_max": 1e200}, 2),  # a user drop squares d_min and d_max
+        ({"d_min": 1e200, "d_max": 1e201}, 2),
+        ({"inter_site_m": 1e300}, 3),  # a user's squared distance overflows
     ])
     def test_overflowing_physics_exit_code(self, tmp_path, values, code):
         # Each value is finite, but the power, gain or path loss it gives is
@@ -455,6 +495,17 @@ class TestCli:
         else:
             assert line.startswith("runtime error: overflow"), line
         assert not (tmp_path / "out" / "eval.csv").exists()
+
+    def test_overflowing_training_exit_code(self, tmp_path):
+        # Both halves of Adam's update overflow: the worker thread's half must
+        # raise under the caller's error state too, not print a numpy warning.
+        r = self.run_cli("train", "--config", self.cfg_file(tmp_path, iterations=300, warmup=32,
+                         batch_size=16, eps_decay_steps=200, learning_rate=1e50),
+                         "--out", str(tmp_path / "out"))
+        assert r.returncode == 3, r.stderr
+        (line,) = r.stderr.splitlines()  # no numpy warning from the worker
+        assert line.startswith("runtime error: overflow"), line
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_field_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
